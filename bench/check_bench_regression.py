@@ -31,51 +31,33 @@ import statistics
 import sys
 from pathlib import Path
 
-# (path into the JSON document, human label, hardware-gated?, direction)
+# (path into the JSON document, human label, direction)
 # direction "higher" = bigger is better (floor gate); "lower" = smaller
 # is better (ceiling gate).
-# Hardware-gated rows measure parallel shard throughput, which is
-# meaningless below MIN_HW_THREADS_FOR_SHARD_GATES hardware threads: on
-# such machines they are reported as explicitly *skipped*, never as a
-# silent pass, so CI logs distinguish "gate held" from "gate never
-# armed".
 METRICS_BY_SUITE = {
     "engine": [
-        (("engine", "events_per_sec"), "engine events/sec", False, "higher"),
+        (("engine", "events_per_sec"), "engine events/sec", "higher"),
         (("world", "incremental_events_per_sec"),
-         "world incremental events/sec", False, "higher"),
+         "world incremental events/sec", "higher"),
         (("world", "speedup"), "incremental vs full-recompute speedup",
-         False, "higher"),
-        # Sharded 1k-node topology: the serial-shard throughput tracks the
-        # machine like the metrics above; the multi-shard entries guard the
-        # fork/join path against overhead creep, but only once the machine
-        # has the cores for the fan-out to be real parallelism. Absolute
-        # parallel *speedup* is additionally gated inside the benchmark
-        # binary (see the sharded section's "gates_skipped" marker).
-        (("sharded", "shards_1", "agg_ops_per_sec"),
-         "sharded dragonfly 1-shard aggregate ops/sec", False, "higher"),
-        (("sharded", "shards_4", "agg_ops_per_sec"),
-         "sharded dragonfly 4-shard aggregate ops/sec", True, "higher"),
-        (("sharded", "shards_8", "agg_ops_per_sec"),
-         "sharded dragonfly 8-shard aggregate ops/sec", True, "higher"),
-        (("peak_rss_bytes",), "peak RSS bytes", False, "lower"),
+         "higher"),
+        (("dragonfly1k", "agg_ops_per_sec"),
+         "dragonfly1k aggregate ops/sec", "higher"),
+        (("peak_rss_bytes",), "peak RSS bytes", "lower"),
     ],
     "dataset": [
         (("extractor", "samples_per_sec"),
-         "streaming extractor samples/sec", False, "higher"),
-        (("factory", "rows_per_sec"), "factory rows/sec", False, "higher"),
+         "streaming extractor samples/sec", "higher"),
+        (("factory", "rows_per_sec"), "factory rows/sec", "higher"),
         # Deterministic row framing: 24-byte shard headers amortized over
         # the rows plus 8 + 12 + 8F bytes per frame. Growth means the
         # on-disk format got fatter.
-        (("factory", "bytes_per_row"), "shard bytes/row", False, "lower"),
+        (("factory", "bytes_per_row"), "shard bytes/row", "lower"),
         (("factory", "peak_buffered_values"),
-         "peak buffered values per row", False, "lower"),
-        (("peak_rss_bytes",), "peak RSS bytes", False, "lower"),
+         "peak buffered values per row", "lower"),
+        (("peak_rss_bytes",), "peak RSS bytes", "lower"),
     ],
 }
-
-MIN_HW_THREADS_FOR_SHARD_GATES = 8
-
 
 def lookup(doc, path):
     node = doc
@@ -131,22 +113,9 @@ def main(argv):
                          / f"BENCH_{suite}_baseline.json")
     baseline = json.loads(baseline_path.read_text())
 
-    hw_threads = lookup(runs[0], ("sharded", "hw_threads"))
-    shard_gates_armed = (
-        hw_threads is not None
-        and hw_threads >= MIN_HW_THREADS_FOR_SHARD_GATES
-    )
-
     n = len(runs)
     failures = 0
-    skipped = 0
-    for path, label, hardware_gated, direction in METRICS_BY_SUITE[suite]:
-        if hardware_gated and not shard_gates_armed:
-            skipped += 1
-            print(f"skip  {label}: skipped (hardware-gated: "
-                  f"{hw_threads if hw_threads is not None else '?'} "
-                  f"hw threads, need {MIN_HW_THREADS_FOR_SHARD_GATES})")
-            continue
+    for path, label, direction in METRICS_BY_SUITE[suite]:
         values = [lookup(run, path) for run in runs]
         base = lookup(baseline, path)
         if any(v is None for v in values) or base is None:
@@ -175,13 +144,6 @@ def main(argv):
         print(f"\n{failures} metric(s) regressed more than "
               f"{max_regression:.0%} vs {baseline_path}", file=sys.stderr)
         return 1
-    if skipped:
-        # Honest summary: a green run with skipped rows is narrower than a
-        # green run with every gate armed (mirrors the benchmark binary's
-        # nonzero sharded.gates_skipped marker).
-        print(f"\nall armed metrics within the regression budget; "
-              f"{skipped} row(s) skipped (hardware-gated)")
-        return 0
     print("\nall metrics within the regression budget")
     return 0
 

@@ -8,10 +8,8 @@
 //                the default incremental engine vs HPAS_FULL_RECOMPUTE
 //                reference mode, with the speedup recorded (the CI gate
 //                and the acceptance criterion read both numbers);
-//   sharded      events/s and aggregate ops/s (epochs x resident tasks)
-//                of the 1k-node dragonfly preset at 1/2/4/8 engine
-//                shards; the >=3x-at-8-shards and >=50M-agg-ops/s gates
-//                only arm on machines with >=8 hardware threads;
+//   dragonfly1k  events/s and aggregate ops/s (events x resident tasks)
+//                of the 1k-node dragonfly preset;
 //   rate_solver  microseconds per full rate recompute at 1..64 nodes;
 //   sweep        wall-clock seconds for a small in-process sweep grid in
 //                both modes.
@@ -193,48 +191,44 @@ WorldResult bench_world(int nodes, bool full_recompute, double sim_seconds) {
   return r;
 }
 
-// --- sharded 1k-node topology throughput ---------------------------------
+// --- 1k-node topology throughput -----------------------------------------
 
-/// The sharded-executor benchmark: the dragonfly1k preset (1024 nodes)
-/// with one cycling compute task per node, run at 1/2/4/8 engine shards.
-/// Every epoch advances all ~1024 tasks and re-solves the dirty node
-/// domain, so the honest work metric is *aggregate ops/s* = epochs x
-/// resident tasks / wall -- the per-event task-advance operations the
-/// shards split between them. events/s alone would under-credit a large
+/// The dragonfly1k preset (1024 nodes) with one cycling compute task per
+/// node. Every event advances all ~1024 tasks and re-solves the dirty
+/// node domain, so the honest work metric is *aggregate ops/s* = events
+/// x resident tasks / wall. events/s alone would under-credit a large
 /// topology, where one event means a thousand task advances.
-struct ShardedResult {
+struct DragonflyResult {
   double events_per_sec = 0.0;
   double agg_ops_per_sec = 0.0;
   std::uint64_t epochs = 0;
   std::uint64_t tasks = 0;
 };
 
-ShardedResult bench_sharded(int shards, double sim_seconds) {
+DragonflyResult bench_dragonfly1k(double sim_seconds) {
   auto world = hpas::sim::make_dragonfly_world();
-  world->set_shards(shards);
   const int nodes = world->num_nodes();
   for (int i = 0; i < nodes; ++i) {
     hpas::sim::TaskProfile profile;
     profile.working_set_bytes = 256.0 * 1024;
     const double work =
         2.0e7 * (1.0 + 0.001 * static_cast<double>(i));  // ~10 ms phases
-    world->spawn_task("shard" + std::to_string(i), i, 0, profile,
+    world->spawn_task("df" + std::to_string(i), i, 0, profile,
                       hpas::sim::Phase::compute(work),
                       [work](hpas::sim::Task&) {
                         return hpas::sim::Phase::compute(work);
                       });
   }
-  world->run_until(0.02);  // warm scratch buffers and the shard pool
+  world->run_until(0.02);  // warm scratch buffers
   const std::uint64_t epochs0 = world->simulator().epochs();
   const auto start = Clock::now();
   world->run_until(0.02 + sim_seconds);
   const double wall = seconds_since(start);
-  ShardedResult r;
+  DragonflyResult r;
   r.epochs = world->simulator().epochs() - epochs0;
   r.tasks = static_cast<std::uint64_t>(nodes);
   r.events_per_sec = static_cast<double>(r.epochs) / wall;
-  r.agg_ops_per_sec =
-      static_cast<double>(r.epochs * r.tasks) / wall;
+  r.agg_ops_per_sec = static_cast<double>(r.epochs * r.tasks) / wall;
   return r;
 }
 
@@ -379,58 +373,19 @@ int main(int argc, char** argv) {
     doc.set("world", std::move(section));
   }
 
-  // Sharded 1k-node dragonfly: scaling across 1/2/4/8 engine shards.
-  // The >=3x-at-8-shards and >=50M-aggregate-ops/s contracts are gated on
-  // the hardware actually having the cores to show parallel speedup --
-  // correctness (byte-identity at any shard count) is tested everywhere,
-  // but wall-clock scaling is only a meaningful assertion on >=8 threads.
+  // 1k-node dragonfly, serial engine.
   {
-    const double sharded_sim_s = quick ? 0.1 : 0.4;
-    const unsigned hw = std::thread::hardware_concurrency();
+    const DragonflyResult r = bench_dragonfly1k(quick ? 0.1 : 0.4);
+    std::printf("dragonfly1k(1k nodes): %.3g events/s, %.3g agg ops/s\n",
+                r.events_per_sec, r.agg_ops_per_sec);
     hpas::Json section = hpas::Json::object();
-    section.set("hw_threads", static_cast<std::uint64_t>(hw));
-    double agg1 = 0.0, agg8 = 0.0;
-    for (const int shards : {1, 2, 4, 8}) {
-      const ShardedResult r = bench_sharded(shards, sharded_sim_s);
-      std::printf(
-          "sharded(1k nodes, %d shards): %.3g events/s, %.3g agg ops/s\n",
-          shards, r.events_per_sec, r.agg_ops_per_sec);
-      hpas::Json row = hpas::Json::object();
-      row.set("events_per_sec", r.events_per_sec);
-      row.set("agg_ops_per_sec", r.agg_ops_per_sec);
-      row.set("epochs", r.epochs);
-      row.set("tasks", r.tasks);
-      section.set("shards_" + std::to_string(shards), std::move(row));
-      if (shards == 1) agg1 = r.agg_ops_per_sec;
-      if (shards == 8) agg8 = r.agg_ops_per_sec;
-    }
-    const double scaling = agg1 > 0.0 ? agg8 / agg1 : 0.0;
-    section.set("scaling_8x", scaling);
-    const bool gate_scaling = hw >= 8;
-    section.set("scaling_gated", gate_scaling);
-    // Honest-gating marker for check_bench_regression.py and CI logs: a
-    // nonzero count means this run never armed the in-binary scaling and
-    // absolute-throughput contracts (too few hardware threads), so a
-    // green result must not be read as "the parallel gates passed".
-    section.set("gates_skipped",
-                static_cast<std::uint64_t>(gate_scaling ? 0 : 2));
-    std::printf("sharded: 8-shard scaling %.2fx on %u hw threads%s\n",
-                scaling, hw, gate_scaling ? "" : " (scaling gate skipped)");
-    if (gate_scaling && scaling < 3.0) {
-      std::fprintf(stderr,
-                   "FAIL: 8-shard aggregate scaling %.2fx is below 3x on "
-                   "%u hw threads\n",
-                   scaling, hw);
-      ++failures;
-    }
-    if (gate_scaling && agg8 < 50.0e6) {
-      std::fprintf(stderr,
-                   "FAIL: 8-shard aggregate throughput %.3g ops/s is below "
-                   "50M on %u hw threads\n",
-                   agg8, hw);
-      ++failures;
-    }
-    doc.set("sharded", std::move(section));
+    section.set("hw_threads", static_cast<std::uint64_t>(
+                                  std::thread::hardware_concurrency()));
+    section.set("events_per_sec", r.events_per_sec);
+    section.set("agg_ops_per_sec", r.agg_ops_per_sec);
+    section.set("epochs", r.epochs);
+    section.set("tasks", r.tasks);
+    doc.set("dragonfly1k", std::move(section));
   }
 
   // Rate-solver latency scaling.

@@ -170,10 +170,6 @@ int run_sweep_command(const std::vector<std::string>& argv) {
             .value_name = "TIME",
             .help = "wall-clock budget for the whole sweep (0 = off)",
             .default_value = "0"})
-      .add({.long_name = "sim-shards", .short_name = '\0', .value_name = "N",
-            .help = "engine shards per scenario world; outputs are "
-                    "bit-identical at any value (0 = serial default)",
-            .default_value = "0"})
       .add({.long_name = "dry-run", .short_name = '\0', .value_name = "",
             .help = "expand and print the grid without running it",
             .default_value = std::nullopt});
@@ -226,8 +222,6 @@ int run_sweep_command(const std::vector<std::string>& argv) {
   options.scenario_timeout_s =
       hpas::flag_duration_seconds(args, "scenario-timeout");
   options.deadline_s = hpas::flag_duration_seconds(args, "deadline");
-  options.sim_shards =
-      static_cast<int>(hpas::flag_u64(args, "sim-shards"));
   options.journal_path = out_dir + "/sweep.journal";
   options.resume = args.flag("resume");
   options.graceful = &graceful;
@@ -332,11 +326,7 @@ int run_search_replay(const hpas::ParsedArgs& args) {
     throw hpas::ConfigError("replay: entry is missing spec or summary_row");
 
   const auto spec = hpas::search::spec_from_json(*spec_doc);
-  const int sim_shards =
-      static_cast<int>(hpas::flag_u64(args, "sim-shards"));
-  const auto result =
-      hpas::runner::run_scenario(spec, args.flag("trace"), nullptr,
-                                 sim_shards);
+  const auto result = hpas::runner::run_scenario(spec, args.flag("trace"));
   const hpas::Json row = hpas::search::summary_row_json(
       spec, result.app_elapsed_s,
       static_cast<std::uint64_t>(result.app_iterations));
@@ -408,9 +398,6 @@ int run_search_command(const std::vector<std::string>& argv) {
             .help = "minimizer keeps at least this fraction of the best "
                     "objective",
             .default_value = "0.9"})
-      .add({.long_name = "sim-shards", .short_name = '\0', .value_name = "N",
-            .help = "engine shards per scenario world (execution knob)",
-            .default_value = "0"})
       .add({.long_name = "trace", .short_name = '\0', .value_name = "",
             .help = "re-run frontier scenarios with trace capture "
                     "(writes NAME.trace.bin)",
@@ -463,8 +450,6 @@ int run_search_command(const std::vector<std::string>& argv) {
   options.batch = hpas::flag_u64(args, "batch");
   options.frontier_size = hpas::flag_u64(args, "frontier");
   options.threads = static_cast<int>(hpas::flag_u64(args, "threads"));
-  options.sim_shards =
-      static_cast<int>(hpas::flag_u64(args, "sim-shards"));
   options.journal_path = out_dir + "/search.journal";
   options.resume = args.flag("resume");
   options.minimize = args.flag("minimize");
@@ -496,8 +481,8 @@ int run_search_command(const std::vector<std::string>& argv) {
   // winning scenarios, replay-diffable with trace_diff.
   if (args.flag("trace")) {
     for (const auto& e : result.frontier) {
-      const auto rerun = hpas::runner::run_scenario(
-          e.spec, /*capture_trace=*/true, nullptr, options.sim_shards);
+      const auto rerun =
+          hpas::runner::run_scenario(e.spec, /*capture_trace=*/true);
       write_text_file(out_dir + "/" + e.spec.name + ".trace.bin",
                       rerun.trace_bin);
     }
@@ -535,9 +520,6 @@ int run_serve_command(const std::vector<std::string>& argv) {
       .add({.long_name = "admit", .short_name = '\0', .value_name = "N",
             .help = "max outstanding scenarios before `busy` backpressure",
             .default_value = "64"})
-      .add({.long_name = "sim-shards", .short_name = '\0', .value_name = "N",
-            .help = "engine shards per scenario world (execution knob)",
-            .default_value = "0"})
       .add({.long_name = "io-timeout", .short_name = '\0',
             .value_name = "TIME",
             .help = "per-connection I/O deadline; a peer stalled mid-frame "
@@ -571,7 +553,6 @@ int run_serve_command(const std::vector<std::string>& argv) {
   options.threads = static_cast<int>(hpas::flag_u64(args, "threads"));
   options.admission_capacity =
       static_cast<std::size_t>(hpas::flag_u64(args, "admit"));
-  options.sim_shards = static_cast<int>(hpas::flag_u64(args, "sim-shards"));
   options.io_timeout_s = hpas::flag_duration_seconds(args, "io-timeout");
   options.spool_cap_bytes = hpas::parse_bytes(args.value("spool-cap"));
   options.scrub_interval_s =

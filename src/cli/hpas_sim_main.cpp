@@ -49,10 +49,6 @@ hpas::CliParser make_parser() {
       .add({.long_name = "preset", .short_name = 'p', .value_name = "NAME",
             .help = "cluster preset: voltrino, chameleon or dragonfly1k",
             .default_value = "voltrino"})
-      .add({.long_name = "sim-shards", .short_name = '\0', .value_name = "N",
-            .help = "engine shards (parallel rate domains); outputs are "
-                    "bit-identical at any value (0 = serial default)",
-            .default_value = "0"})
       .add({.long_name = "app", .short_name = 'a', .value_name = "NAME",
             .help = "proxy application (empty = idle cluster)",
             .default_value = ""})
@@ -109,9 +105,6 @@ int run(const hpas::ParsedArgs& args) {
     throw hpas::ConfigError("unknown preset '" + preset +
                             "' (expected voltrino, chameleon or dragonfly1k)");
   }
-  const int sim_shards =
-      static_cast<int>(hpas::flag_u64(args, "sim-shards"));
-  if (sim_shards > 0) world->set_shards(sim_shards);
 
   const double duration = hpas::flag_duration_seconds(args, "duration");
   const double period =

@@ -266,8 +266,8 @@ DatasetFactoryResult run_dataset_factory(const DatasetPlan& plan,
           plan.include_bandwidth, plan.warmup_s, row.spec.duration_s + 0.5,
           plan.noise));
       const runner::ScenarioResult run = runner::run_scenario(
-          row.spec, /*capture_trace=*/false, options.hard, /*sim_shards=*/0,
-          {}, &extractor, /*store_samples=*/false);
+          row.spec, /*capture_trace=*/false, options.hard, {}, &extractor,
+          /*store_samples=*/false);
       if (run.status != runner::ScenarioStatus::kDone) {
         interrupted.store(true, std::memory_order_relaxed);
         return;

@@ -181,7 +181,7 @@ const char* scenario_status_name(ScenarioStatus status) {
 }
 
 ScenarioResult run_scenario(const ScenarioSpec& spec, bool capture_trace,
-                            const CancelToken* cancel, int sim_shards,
+                            const CancelToken* cancel,
                             const std::function<void(sim::World&)>& inspect,
                             metrics::SampleSink* sink, bool store_samples) {
   ScenarioResult result;
@@ -190,7 +190,6 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, bool capture_trace,
   auto world = spec.system == "chameleon"     ? sim::make_chameleon_world()
                : spec.system == "dragonfly1k" ? sim::make_dragonfly_world()
                                               : sim::make_voltrino_world();
-  if (sim_shards > 0) world->set_shards(sim_shards);
   const int num_nodes = world->num_nodes();
   if (spec.app_nodes > num_nodes)
     throw ConfigError("run_scenario: app_nodes exceeds the " + spec.system +
@@ -431,7 +430,7 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& options) {
       ScenarioResult& slot = result.scenarios[i];
       try {
         slot = run_scenario(grid.scenarios[i], options.capture_traces,
-                            token.get(), options.sim_shards);
+                            token.get());
       } catch (const std::exception& e) {
         slot.spec = grid.scenarios[i];
         slot.ran = true;

@@ -52,11 +52,6 @@ struct SweepOptions {
   int threads = 1;                   ///< 0 = hardware concurrency
   std::size_t queue_capacity = 256;  ///< backpressure bound
   bool capture_traces = false;       ///< record a per-scenario trace
-  /// Engine shards per scenario world (World::set_shards); 0 keeps the
-  /// default (serial, or HPAS_SIM_SHARDS). An execution parameter like
-  /// `threads`: outputs are bit-identical at any value, so it is *not*
-  /// part of scenario identity and never enters the journal key hash.
-  int sim_shards = 0;
   /// Wall-clock budget per scenario, seconds; 0 disables the watchdog.
   /// An over-budget scenario is cancelled cooperatively, journaled as
   /// timeout, and the sweep moves on.
@@ -131,10 +126,6 @@ struct SweepResult {
 /// far, and -- when tracing -- ends the truncated trace with one
 /// kRunCancelled record so partial captures are self-describing.
 ///
-/// `sim_shards` > 0 shards the scenario's engine (World::set_shards);
-/// 0 keeps the world's default. Pure execution knob -- all outputs are
-/// bit-identical at any shard count.
-///
 /// `inspect` (optional) is invoked on the scenario's world after a
 /// *completed* run, before the world is torn down -- the hook behind
 /// probe-based search objectives (WBAS capacity ranks, classifier
@@ -150,7 +141,7 @@ struct SweepResult {
 /// or without a sink.
 ScenarioResult run_scenario(
     const ScenarioSpec& spec, bool capture_trace = false,
-    const CancelToken* cancel = nullptr, int sim_shards = 0,
+    const CancelToken* cancel = nullptr,
     const std::function<void(sim::World&)>& inspect = {},
     metrics::SampleSink* sink = nullptr, bool store_samples = true);
 

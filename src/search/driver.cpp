@@ -69,9 +69,8 @@ runner::ScenarioSpec baseline_spec(const runner::ScenarioSpec& spec,
 /// objective in the record's trailing extension).
 class Evaluator {
  public:
-  Evaluator(const Objective& objective, runner::WorkStealingPool& pool,
-            int sim_shards)
-      : objective_(objective), pool_(pool), sim_shards_(sim_shards) {}
+  Evaluator(const Objective& objective, runner::WorkStealingPool& pool)
+      : objective_(objective), pool_(pool) {}
 
   /// Opens the journal; with `resume` the validated prefix seeds the cache
   /// and is rewritten in place (self-healing after a torn tail).
@@ -122,7 +121,7 @@ class Evaluator {
           };
         }
         const runner::ScenarioResult r = runner::run_scenario(
-            j.spec, /*capture_trace=*/false, nullptr, sim_shards_, inspect);
+            j.spec, /*capture_trace=*/false, nullptr, inspect);
         if (r.status != runner::ScenarioStatus::kDone) {
           j.out.failed = true;
           j.out.error = r.error.empty()
@@ -185,7 +184,6 @@ class Evaluator {
 
   const Objective& objective_;
   runner::WorkStealingPool& pool_;
-  int sim_shards_;
   std::unordered_map<std::uint64_t, Outcome> cache_;
   std::unordered_set<std::uint64_t> journaled_;
   std::unique_ptr<runner::JournalWriter> journal_;
@@ -291,7 +289,7 @@ SearchResult run_search(const ScenarioSpace& space,
   pool_options.queue_capacity = options.queue_capacity;
   runner::WorkStealingPool pool(pool_options);
 
-  Evaluator evaluator(*objective, pool, options.sim_shards);
+  Evaluator evaluator(*objective, pool);
   evaluator.open_journal(options.journal_path, options.resume);
 
   SearchResult result;

@@ -44,7 +44,6 @@ struct SearchOptions {
   std::size_t frontier_size = 8;
   int threads = 1;           ///< pool workers; 0 = hardware concurrency
   std::size_t queue_capacity = 256;
-  int sim_shards = 0;        ///< per-scenario engine shards (execution knob)
   /// Path of the evaluation journal (conventionally <out>/search.journal).
   /// Empty disables journaling (and with it crash safety).
   std::string journal_path;

@@ -447,7 +447,7 @@ void Server::run_admitted(std::uint64_t key) {
   runner::ScenarioResult result;
   try {
     result = runner::run_scenario(spec, /*capture_trace=*/false,
-                                  &hard_cancel_, options_.sim_shards);
+                                  &hard_cancel_);
   } catch (const CancelledError& e) {
     result.spec = spec;
     result.status = runner::ScenarioStatus::kCancelled;

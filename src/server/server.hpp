@@ -67,7 +67,6 @@ struct ServerOptions {
   /// it submissions get `busy`. Cache hits and coalesced duplicates do
   /// not consume admission slots -- they do no engine work.
   std::size_t admission_capacity = 64;
-  int sim_shards = 0;       ///< per-scenario engine shards (0 = default)
   /// Per-connection I/O deadline in seconds; 0 disables. A peer stalled
   /// mid-frame (slowloris) or not draining its responses is disconnected
   /// after this long. Idle clients at a frame boundary are unaffected.

@@ -54,7 +54,7 @@ struct ChameleonPreset {
 
 /// Large-system preset for scaling studies: a dragonfly with
 /// groups x routers_per_group x nodes_per_router compute nodes (defaults
-/// give 8*8*16 = 1024, the "dragonfly1k" system of the sharded-engine
+/// give 8*8*16 = 1024, the "dragonfly1k" system of the engine
 /// benchmarks; bump `groups` to ~78 for a 10k-node machine). Node and
 /// filesystem parameters reuse the Voltrino-like Haswell/Lustre models --
 /// the preset exists to exercise topology scale, not new hardware.

@@ -17,12 +17,6 @@ constexpr std::size_t kCompactionFloor = 1024;
 
 std::size_t Simulator::compaction_floor() { return kCompactionFloor; }
 
-void Simulator::configure_shards(int shards) {
-  if (shards < 1) shards = 1;
-  if (shards == this->shards()) return;
-  pool_ = shards == 1 ? nullptr : std::make_unique<ShardPool>(shards);
-}
-
 std::uint32_t Simulator::acquire_slot() {
   if (!free_slots_.empty()) {
     const std::uint32_t slot = free_slots_.back();

@@ -19,24 +19,17 @@
 //     live events past a high threshold, so short runs -- everything the
 //     golden traces pin down -- never observe a compaction.
 //
-// Sharded execution: the event loop itself stays strictly serial -- the
-// (time, seq) total order is the simulation's definition of causality --
-// but each fired event is an *epoch*: a synchronization interval whose
-// interior work (rate-domain advancement, deferred counter replay) has no
-// cross-domain ordering constraints and may fan out across a ShardPool
-// owned by the engine. configure_shards() sizes that pool; epochs() counts
-// fired events so callers can align work to epoch boundaries. With one
-// shard the pool is absent and everything runs inline -- byte-for-byte
-// today's serial behaviour.
+// The event loop is strictly serial: the (time, seq) total order is the
+// simulation's definition of causality, and a scenario runs on the thread
+// that owns it. Parallelism lives one level up, across independent
+// scenarios (sweep, search, dataset and serve all fan out over them).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/cancel.hpp"
 #include "sim/engine/event_fn.hpp"
-#include "sim/engine/shard_pool.hpp"
 
 namespace hpas::trace {
 class Tracer;
@@ -100,32 +93,12 @@ class Simulator {
 
   /// Tombstone population threshold under which the heap is never
   /// compacted; stress tests bound queued_tombstones() against this
-  /// (per engine instance -- every shard of a sharded sweep owns its own
-  /// Simulator and its own floor).
+  /// (per engine instance -- every concurrently running scenario owns its
+  /// own Simulator and its own floor).
   static std::size_t compaction_floor();
 
-  /// Number of events fired so far. Each fired event is one conservative
-  /// epoch of the sharded executor: all parallel domain work forked
-  /// inside it joined before the next event fires.
+  /// Number of events fired so far.
   std::uint64_t epochs() const { return epochs_; }
-
-  /// Sizes the engine's shard pool (clamped to >= 1). One shard destroys
-  /// the pool and restores pure serial execution. Must not be called from
-  /// inside a parallel region.
-  void configure_shards(int shards);
-  int shards() const { return pool_ ? pool_->shards() : 1; }
-
-  /// Runs `fn(shard)` for every shard and barriers; inline when the pool
-  /// is absent (one shard). This is the fork/join primitive of the
-  /// epoch-synchronized executor -- see ShardPool for the determinism
-  /// contract.
-  void for_each_shard(const std::function<void(int)>& fn) {
-    if (pool_) {
-      pool_->run(fn);
-    } else {
-      fn(0);
-    }
-  }
 
   /// Attaches a structured tracer (nullptr detaches). Every schedule /
   /// fire / cancel then emits a record; the engine also keeps the
@@ -175,7 +148,6 @@ class Simulator {
   trace::Tracer* tracer_ = nullptr;
   const CancelToken* cancel_ = nullptr;
   std::uint64_t epochs_ = 0;
-  std::unique_ptr<ShardPool> pool_;
   std::uint64_t next_seq_ = 1;
   std::uint64_t next_id_ = 1;
   std::vector<Event> heap_;  ///< binary heap ordered by Later

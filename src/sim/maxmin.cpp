@@ -1,6 +1,5 @@
 #include "sim/maxmin.hpp"
 
-#include <algorithm>
 #include <limits>
 
 #include "common/error.hpp"
@@ -117,48 +116,6 @@ void max_min_allocate_into(double capacity, std::span<const double> demands,
     }
     scratch.active.swap(scratch.next);
   }
-}
-
-std::vector<double> max_min_allocate_weighted_sorted(
-    double capacity, std::span<const double> demands,
-    std::span<const double> weights) {
-  validate_inputs(capacity, demands, weights);
-  const std::size_t n = demands.size();
-  std::vector<double> alloc(n, 0.0);
-  if (n == 0) return alloc;
-
-  // Sort by normalized demand: once consumer k saturates at the current
-  // water level, every consumer after it saturates too, so one pass
-  // suffices. Ties break by index for determinism.
-  std::vector<std::size_t> order(n);
-  for (std::size_t i = 0; i < n; ++i) order[i] = i;
-  std::sort(order.begin(), order.end(),
-            [&](std::size_t a, std::size_t b) {
-              const double ka = demands[a] / weights[a];
-              const double kb = demands[b] / weights[b];
-              if (ka != kb) return ka < kb;
-              return a < b;
-            });
-
-  double remaining = capacity;
-  double active_weight = 0.0;
-  for (std::size_t i = 0; i < n; ++i) active_weight += weights[i];
-  for (std::size_t p = 0; p < n; ++p) {
-    if (remaining <= 0.0 || active_weight <= 0.0) break;
-    const double level = remaining / active_weight;
-    const std::size_t i = order[p];
-    if (demands[i] <= level * weights[i]) {
-      alloc[i] = demands[i];
-      remaining -= demands[i];
-      active_weight -= weights[i];
-    } else {
-      // This and every later consumer is saturated at the final level.
-      for (std::size_t q = p; q < n; ++q)
-        alloc[order[q]] = level * weights[order[q]];
-      break;
-    }
-  }
-  return alloc;
 }
 
 }  // namespace hpas::sim

@@ -41,16 +41,4 @@ struct MaxMinScratch {
 void max_min_allocate_into(double capacity, std::span<const double> demands,
                            std::span<double> alloc, MaxMinScratch& scratch);
 
-/// O(n log n) single-pass solver: sorts consumers by demand/weight and
-/// freezes them in that order, raising the water level as each one
-/// saturates below it. Produces the same allocation as
-/// max_min_allocate_weighted up to floating-point reassociation (the
-/// freeze-round solver subtracts frozen demands in index order, this one
-/// in sorted order), so results agree to ~1e-12 relative — see the
-/// property tests. The round-based solver stays the default in the rate
-/// models because the golden traces pin its exact bit pattern.
-std::vector<double> max_min_allocate_weighted_sorted(
-    double capacity, std::span<const double> demands,
-    std::span<const double> weights);
-
 }  // namespace hpas::sim

@@ -25,18 +25,6 @@ bool env_full_recompute() {
          !(env[0] == '0' && env[1] == '\0');
 }
 
-int env_sim_shards() {
-  const char* env = std::getenv("HPAS_SIM_SHARDS");
-  if (env == nullptr || env[0] == '\0') return 1;
-  return std::atoi(env);
-}
-
-/// Minimum work items (domains, tasks) per shard before a per-epoch
-/// fork/join pays for its barrier. Purely a performance heuristic: the
-/// serial and sharded paths run identical arithmetic in identical
-/// per-accumulator order, so which one executes is unobservable.
-constexpr std::size_t kFanoutGrain = 8;
-
 }  // namespace
 
 World::World(NodeConfig node_config, Topology topology, FsConfig fs_config)
@@ -49,12 +37,7 @@ World::World(NodeConfig node_config, Topology topology, FsConfig fs_config)
   node_dirty_.assign(static_cast<std::size_t>(n), 0);
   node_cursor_.assign(static_cast<std::size_t>(n), 0);
   node_active_.assign(static_cast<std::size_t>(n), 0);
-  node_shard_.assign(static_cast<std::size_t>(n), 0);
-  shard_node_begin_ = {0, n};
-  shard_eta_.assign(1, 0.0);
   full_recompute_ = env_full_recompute();
-  const int shards = env_sim_shards();
-  if (shards > 1) set_shards(shards);
   oom_ = [](World& world, Task& requester) {
     log_warn("sim: OOM on node ", requester.node(), "; killing '",
              requester.name(), "'");
@@ -197,19 +180,11 @@ void World::apply_counter_chunk(Task& task, double dt) {
     }
     case PhaseKind::kMessage: {
       t.bytes_sent += progressed;
-      if (defer_nic_) {
-        // Sharded replay: the network domain must not write into node
-        // domains mid-epoch. Buffer the deposit as an epoch message; the
-        // coordinator drains the list at the barrier in this exact order.
-        nic_messages_.push_back(
-            NicMessage{task.node_, task.phase_.peer_node, progressed});
-      } else {
-        c.nic_tx_bytes += progressed;
-        if (task.phase_.peer_node >= 0) {
-          nodes_[static_cast<std::size_t>(task.phase_.peer_node)]
-              ->counters()
-              .nic_rx_bytes += progressed;
-        }
+      c.nic_tx_bytes += progressed;
+      if (task.phase_.peer_node >= 0) {
+        nodes_[static_cast<std::size_t>(task.phase_.peer_node)]
+            ->counters()
+            .nic_rx_bytes += progressed;
       }
       break;
     }
@@ -253,14 +228,13 @@ void World::sync_node_domain(int id) {
   cursor = end;
 }
 
-void World::sync_network_domain(bool defer_nic) {
+void World::sync_network_domain() {
   const auto end = static_cast<std::uint32_t>(chunk_dt_.size());
   if (net_cursor_ == end) return;
   if (message_tasks_ == 0) {
     net_cursor_ = end;
     return;
   }
-  defer_nic_ = defer_nic;
   for (std::uint32_t k = net_cursor_; k < end; ++k) {
     const double dt = chunk_dt_[k];
     for (Task* task : task_ptrs_) {
@@ -268,7 +242,6 @@ void World::sync_network_domain(bool defer_nic) {
         apply_counter_chunk(*task, dt);
     }
   }
-  defer_nic_ = false;
   net_cursor_ = end;
 }
 
@@ -290,27 +263,9 @@ void World::sync_fs_domain() {
 
 void World::sync_all_domains() {
   if (!chunk_dt_.empty()) {
-    if (worth_fanout(static_cast<std::size_t>(num_nodes()))) {
-      // Epoch fork: every shard settles its own node domains; the network
-      // and filesystem domains ride on the first and last shard. NIC
-      // deposits cross domains, so they travel as epoch messages drained
-      // after the join.
-      const int fs_shard = shards_ - 1;
-      sim_.for_each_shard([this, fs_shard](int s) {
-        const auto us = static_cast<std::size_t>(s);
-        for (int id = shard_node_begin_[us]; id < shard_node_begin_[us + 1];
-             ++id) {
-          sync_node_domain(id);
-        }
-        if (s == 0) sync_network_domain(/*defer_nic=*/true);
-        if (s == fs_shard) sync_fs_domain();
-      });
-      drain_nic_messages();
-    } else {
-      for (int i = 0; i < num_nodes(); ++i) sync_node_domain(i);
-      sync_network_domain();
-      sync_fs_domain();
-    }
+    for (int i = 0; i < num_nodes(); ++i) sync_node_domain(i);
+    sync_network_domain();
+    sync_fs_domain();
   }
   chunk_dt_.clear();
   std::fill(node_cursor_.begin(), node_cursor_.end(), 0u);
@@ -400,50 +355,6 @@ void World::set_full_recompute(bool on) {
   full_recompute_ = on;
 }
 
-void World::set_shards(int shards) {
-  const int n = num_nodes();
-  if (shards < 1) shards = 1;
-  if (shards > n) shards = n;
-  if (shards == shards_) return;
-  // Settle under the old partitioning first: a repartition must never
-  // split a pending replay range between owners.
-  sync_all_domains();
-  shards_ = shards;
-  sim_.configure_shards(shards);
-  shard_node_begin_.assign(static_cast<std::size_t>(shards) + 1, 0);
-  for (int s = 0; s <= shards; ++s) {
-    shard_node_begin_[static_cast<std::size_t>(s)] = static_cast<int>(
-        static_cast<long long>(n) * s / shards);
-  }
-  for (int s = 0; s < shards; ++s) {
-    for (int id = shard_node_begin_[static_cast<std::size_t>(s)];
-         id < shard_node_begin_[static_cast<std::size_t>(s) + 1]; ++id) {
-      node_shard_[static_cast<std::size_t>(id)] = s;
-    }
-  }
-  shard_eta_.assign(static_cast<std::size_t>(shards), 0.0);
-}
-
-bool World::worth_fanout(std::size_t items) const {
-  return shards_ > 1 && !full_recompute_ &&
-         items >= kFanoutGrain * static_cast<std::size_t>(shards_);
-}
-
-void World::drain_nic_messages() {
-  // List order is the serial (chunk outer, task_ptrs_ inner) fold order,
-  // so each NIC counter receives the exact += sequence of inline
-  // application.
-  for (const NicMessage& m : nic_messages_) {
-    nodes_[static_cast<std::size_t>(m.src_node)]->counters().nic_tx_bytes +=
-        m.bytes;
-    if (m.peer_node >= 0) {
-      nodes_[static_cast<std::size_t>(m.peer_node)]->counters().nic_rx_bytes +=
-          m.bytes;
-    }
-  }
-  nic_messages_.clear();
-}
-
 // ---------------------------------------------------------------------------
 
 void World::advance_tasks(double dt) {
@@ -452,24 +363,9 @@ void World::advance_tasks(double dt) {
   if (dt < 0.0) return;
   if (chunk_dt_.size() >= kMaxChunkLog) sync_all_domains();
   chunk_dt_.push_back(dt);
-  if (worth_fanout(task_ptrs_.size())) {
-    // Each task is advanced exactly once by its node's owning shard;
-    // advance() touches only task-local state, so partitioning by node
-    // instead of task_ptrs_ order is unobservable.
-    sim_.for_each_shard([this, dt](int s) {
-      const auto us = static_cast<std::size_t>(s);
-      for (int id = shard_node_begin_[us]; id < shard_node_begin_[us + 1];
-           ++id) {
-        for (Task* task : node_tasks_[static_cast<std::size_t>(id)]) {
-          if (task->active()) task->advance(dt);
-        }
-      }
-    });
-  } else {
-    for (Task* task : task_ptrs_) {
-      if (!task->active()) continue;
-      task->advance(dt);
-    }
+  for (Task* task : task_ptrs_) {
+    if (!task->active()) continue;
+    task->advance(dt);
   }
   // Reference mode: integrate every counter immediately, exactly like the
   // original eager loop (the replay arithmetic is the same; the chunk is
@@ -505,73 +401,31 @@ void World::recompute_rates() {
   // were in effect) before new rates are installed. Clean domains keep
   // their installed rates -- bit-identical, because the solvers are
   // deterministic functions of inputs that have not changed.
-  const std::size_t dirty_domains = dirty_nodes_.size() +
-                                    (net_dirty_ ? 1u : 0u) +
-                                    (fs_dirty_ ? 1u : 0u);
-  if (worth_fanout(dirty_domains)) {
-    // Epoch fork: domains are solved in parallel. Every solver is a
-    // deterministic function of inputs no other shard writes (a node's
-    // residents; the message/IO task sets, whose phases are frozen during
-    // the region), and the dirty-node iteration order only groups work --
-    // domains share no accumulators, so per-domain results are identical
-    // to the serial loop's.
-    const int fs_shard = shards_ - 1;
-    sim_.for_each_shard([this, fs_shard](int s) {
-      for (const int id : dirty_nodes_) {
-        if (shard_of(id) != s) continue;
-        sync_node_domain(id);
-        nodes_[static_cast<std::size_t>(id)]->compute_rates(
-            node_tasks_[static_cast<std::size_t>(id)]);
+  for (const int id : dirty_nodes_) {
+    sync_node_domain(id);
+    nodes_[static_cast<std::size_t>(id)]->compute_rates(
+        node_tasks_[static_cast<std::size_t>(id)]);
+    node_dirty_[static_cast<std::size_t>(id)] = 0;
+  }
+  dirty_nodes_.clear();
+
+  if (net_dirty_) {
+    sync_network_domain();
+    flow_scratch_.clear();
+    for (Task* task : task_ptrs_) {
+      if (task->phase().kind == PhaseKind::kMessage) {
+        flow_scratch_.push_back(
+            Flow{task, task->node(), task->phase().peer_node, 0.0});
       }
-      if (s == 0 && net_dirty_) {
-        sync_network_domain(/*defer_nic=*/true);
-        flow_scratch_.clear();
-        for (Task* task : task_ptrs_) {
-          if (task->phase().kind == PhaseKind::kMessage) {
-            flow_scratch_.push_back(
-                Flow{task, task->node(), task->phase().peer_node, 0.0});
-          }
-        }
-        if (!flow_scratch_.empty()) network_.compute_rates(flow_scratch_);
-      }
-      if (s == fs_shard && fs_dirty_) {
-        sync_fs_domain();
-        fs_.compute_rates(task_ptrs_);
-      }
-    });
-    drain_nic_messages();
-    for (const int id : dirty_nodes_)
-      node_dirty_[static_cast<std::size_t>(id)] = 0;
-    dirty_nodes_.clear();
+    }
+    if (!flow_scratch_.empty()) network_.compute_rates(flow_scratch_);
     net_dirty_ = false;
+  }
+
+  if (fs_dirty_) {
+    sync_fs_domain();
+    fs_.compute_rates(task_ptrs_);
     fs_dirty_ = false;
-  } else {
-    for (const int id : dirty_nodes_) {
-      sync_node_domain(id);
-      nodes_[static_cast<std::size_t>(id)]->compute_rates(
-          node_tasks_[static_cast<std::size_t>(id)]);
-      node_dirty_[static_cast<std::size_t>(id)] = 0;
-    }
-    dirty_nodes_.clear();
-
-    if (net_dirty_) {
-      sync_network_domain();
-      flow_scratch_.clear();
-      for (Task* task : task_ptrs_) {
-        if (task->phase().kind == PhaseKind::kMessage) {
-          flow_scratch_.push_back(
-              Flow{task, task->node(), task->phase().peer_node, 0.0});
-        }
-      }
-      if (!flow_scratch_.empty()) network_.compute_rates(flow_scratch_);
-      net_dirty_ = false;
-    }
-
-    if (fs_dirty_) {
-      sync_fs_domain();
-      fs_.compute_rates(task_ptrs_);
-      fs_dirty_ = false;
-    }
   }
 
   if (tracer_ && tracer_->enabled()) trace_rates();
@@ -610,25 +464,7 @@ void World::schedule_next_completion() {
   sim_.cancel(pending_completion_);
   pending_completion_ = EventHandle{};
   double eta = std::numeric_limits<double>::infinity();
-  if (worth_fanout(task_ptrs_.size())) {
-    // min over IEEE doubles is exact and commutative, so scanning each
-    // shard's residents and min-reducing the per-shard results is
-    // bit-identical to the serial fold over task_ptrs_.
-    shard_eta_.assign(static_cast<std::size_t>(shards_),
-                      std::numeric_limits<double>::infinity());
-    sim_.for_each_shard([this](int s) {
-      double local = std::numeric_limits<double>::infinity();
-      for (int id = shard_node_begin_[static_cast<std::size_t>(s)];
-           id < shard_node_begin_[static_cast<std::size_t>(s) + 1]; ++id) {
-        for (const Task* task : node_tasks_[static_cast<std::size_t>(id)])
-          local = std::min(local, task->eta());
-      }
-      shard_eta_[static_cast<std::size_t>(s)] = local;
-    });
-    for (const double e : shard_eta_) eta = std::min(eta, e);
-  } else {
-    for (const Task* task : task_ptrs_) eta = std::min(eta, task->eta());
-  }
+  for (const Task* task : task_ptrs_) eta = std::min(eta, task->eta());
   if (!std::isfinite(eta)) return;
   // Event times quantize to the double grid at `now`; a very fast task
   // (e.g. a loopback message at ~1e12 B/s) can have an eta below one ulp,

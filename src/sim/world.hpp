@@ -39,22 +39,9 @@
 // the original recompute-everything-per-event behaviour; the equivalence
 // tests byte-compare traces across both modes.
 //
-// Sharded execution (see DESIGN.md, "Rate-domain sharding"): the counter
-// domains above double as *rate domains* -- per-node groups, the network,
-// the filesystem -- that are data-independent within one engine epoch
-// (one fired event). set_shards(S) partitions the nodes into S contiguous
-// groups and fans the per-epoch domain work (task advancement, deferred
-// counter replay, rate re-solving, completion-eta scanning) across the
-// engine's ShardPool under conservative epoch synchronization: fork after
-// the event fires, barrier before anything order-sensitive (controllers,
-// trace emission, membership changes) runs. The one cross-domain
-// interaction -- a message flow depositing NIC byte counters on its
-// endpoint nodes -- is buffered as an epoch-aligned message and drained
-// at the barrier in the serial fold order, so every accumulator sees the
-// exact += sequence of serial execution and the trace/CSV bytes are
-// independent of the shard count. Shard count 1 (the default) and
-// HPAS_FULL_RECOMPUTE=1 both run today's serial loop verbatim; the
-// environment variable HPAS_SIM_SHARDS sets the initial shard count.
+// The loop runs on one thread (see DESIGN.md, "Why the engine is
+// serial"): a World is owned by the scenario that built it, and callers
+// get parallelism by running independent scenarios concurrently.
 #pragma once
 
 #include <cstdint>
@@ -157,15 +144,6 @@ class World {
   void set_full_recompute(bool on);
   bool full_recompute() const { return full_recompute_; }
 
-  /// Partitions the simulation into `shards` rate-domain groups advanced
-  /// in parallel under conservative epoch synchronization. Every
-  /// observable -- trace bytes, counters, CSVs -- is bit-identical at any
-  /// shard count (that is tested); sharding only changes wall-clock
-  /// time. Clamped to [1, num_nodes]; 1 restores pure serial execution.
-  /// Also settable at construction via HPAS_SIM_SHARDS.
-  void set_shards(int shards);
-  int shards() const { return shards_; }
-
   /// Incremental-engine hooks, invoked by Task (and kept public for it;
   /// not useful to call directly). They settle deferred counter
   /// integration for the domains a mutation touches and mark those
@@ -185,10 +163,7 @@ class World {
 
   // --- deferred counter integration -----------------------------------
   void apply_counter_chunk(Task& task, double dt);
-  /// With `defer_nic` the replayed NIC byte deposits stay buffered in
-  /// nic_messages_ (epoch messages) instead of being applied inline;
-  /// the caller drains them after the shard barrier.
-  void sync_network_domain(bool defer_nic = false);
+  void sync_network_domain();
   void sync_node_domain(int id);
   void sync_fs_domain();
   void sync_all_domains();  ///< settles every cursor, truncates the log
@@ -196,19 +171,6 @@ class World {
   void mark_node_dirty(int id);
   void mark_all_dirty();
   void note_domain_entry(PhaseKind kind, int node_id, int delta);
-
-  // --- sharded execution ------------------------------------------------
-  /// Applies buffered NIC epoch messages in their recorded order -- the
-  /// serial (chunk, task) fold order -- so every counter sees the exact
-  /// += sequence of serial execution.
-  void drain_nic_messages();
-  int shard_of(int node) const {
-    return node_shard_[static_cast<std::size_t>(node)];
-  }
-  /// True when the per-epoch work is worth a fork/join (enough domains or
-  /// tasks per shard); the serial and sharded paths compute bit-identical
-  /// results, so this is purely a performance heuristic.
-  bool worth_fanout(std::size_t items) const;
 
   Simulator sim_;
   std::vector<std::unique_ptr<Node>> nodes_;
@@ -240,21 +202,6 @@ class World {
   std::vector<int> node_active_;
   int message_tasks_ = 0;
   int io_tasks_ = 0;
-
-  // --- sharding state ---------------------------------------------------
-  int shards_ = 1;
-  std::vector<int> node_shard_;        ///< node id -> owning shard
-  std::vector<int> shard_node_begin_;  ///< shard s owns [begin[s], begin[s+1])
-  /// One cross-domain epoch message: the network domain depositing
-  /// transferred bytes on its endpoint nodes' NIC counters.
-  struct NicMessage {
-    int src_node;
-    int peer_node;  ///< -1: no receive side
-    double bytes;
-  };
-  std::vector<NicMessage> nic_messages_;
-  bool defer_nic_ = false;  ///< set inside sharded regions only
-  std::vector<double> shard_eta_;  ///< per-shard completion-eta minima
 
   // Hot-path scratch (no per-event allocation once warm).
   std::vector<Task*> completion_scratch_;

@@ -65,13 +65,13 @@ TEST(PendingEvents, CancellingEverythingReportsZeroWithoutRunning) {
   EXPECT_DOUBLE_EQ(sim.now(), 0.0);  // nothing live ever fired
 }
 
-/// One cancel-storm instance: 100k/shard_count interleaved schedule and
-/// cancel operations against a reference model, with this engine's
-/// tombstone population checked after every operation. The floor comes
-/// from Simulator::compaction_floor() -- the engine's own constant, so
-/// the bound cannot drift from the implementation -- and applies *per
-/// engine instance*: every shard of a sharded sweep owns its own
-/// Simulator, its own heap, and its own floor.
+/// One cancel-storm instance: `ops` interleaved schedule and cancel
+/// operations against a reference model, with this engine's tombstone
+/// population checked after every operation. The floor comes from
+/// Simulator::compaction_floor() -- the engine's own constant, so the
+/// bound cannot drift from the implementation -- and applies *per engine
+/// instance*: every scenario of a parallel sweep owns its own Simulator,
+/// its own heap, and its own floor.
 void run_cancel_storm(std::uint64_t seed, int ops) {
   struct ModelEvent {
     double time;
@@ -138,17 +138,17 @@ TEST(CancelStorm, SurvivorsFireInOrderAndTombstonesStayBounded) {
 }
 
 TEST(CancelStorm, PerShardEnginesKeepIndependentTombstoneFloors) {
-  // Shard-shaped concurrency: one Simulator per shard, each on its own
-  // thread, each bounded by its *own* compaction floor. There is no
-  // shared engine state, so this must be race-free (the TSan job runs
-  // this suite) and every shard's storm must satisfy the same envelope
-  // the single-engine storm does.
-  const int shard_counts[] = {2, 4, 8};
-  for (const int shards : shard_counts) {
+  // Sweep-shaped concurrency: one Simulator per concurrently running
+  // scenario, each on its own thread, each bounded by its *own*
+  // compaction floor. There is no shared engine state, so this must be
+  // race-free (the TSan job runs this suite) and every engine's storm
+  // must satisfy the same envelope the single-engine storm does.
+  const int engine_counts[] = {2, 4, 8};
+  for (const int engines : engine_counts) {
     std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(shards));
-    for (int s = 0; s < shards; ++s) {
-      // Full-size storms per shard: the floor is per engine, so the
+    threads.reserve(static_cast<std::size_t>(engines));
+    for (int s = 0; s < engines; ++s) {
+      // Full-size storms per engine: the floor is per engine, so the
       // workload that crosses it on one engine must cross it on all.
       threads.emplace_back([s] {
         run_cancel_storm(0x57A6u + static_cast<std::uint64_t>(s), 50000);

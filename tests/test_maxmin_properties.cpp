@@ -13,7 +13,6 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -186,76 +185,6 @@ TEST(MaxMinWeightedProperties, RandomCasesRespectCapacityAndDemands) {
     }
     EXPECT_LE(total, c.capacity + 1e-6) << "trial " << trial;
   }
-}
-
-// --- sorted single-pass solver vs the round-based default --------------
-//
-// max_min_allocate_weighted_sorted freezes consumers in demand/weight
-// order with one pass; the round solver subtracts frozen demands in index
-// order. Same fixed point, different floating-point association, so the
-// agreement contract is ~1e-12 relative, not bitwise.
-
-void expect_solvers_agree(double capacity, const std::vector<double>& demands,
-                          const std::vector<double>& weights,
-                          const char* label) {
-  const auto rounds = max_min_allocate_weighted(capacity, demands, weights);
-  const auto sorted =
-      max_min_allocate_weighted_sorted(capacity, demands, weights);
-  ASSERT_EQ(rounds.size(), sorted.size()) << label;
-  const double scale = std::max(1.0, capacity);
-  for (std::size_t i = 0; i < rounds.size(); ++i)
-    EXPECT_NEAR(sorted[i], rounds[i], 1e-12 * scale)
-        << label << " consumer " << i;
-}
-
-TEST(MaxMinSortedSolver, AgreesWithRoundSolverOnRandomCases) {
-  Rng rng(0x50F7u);
-  for (int trial = 0; trial < 500; ++trial) {
-    const Case c = random_case(rng);
-    std::vector<double> weights;
-    weights.reserve(c.demands.size());
-    for (std::size_t i = 0; i < c.demands.size(); ++i)
-      weights.push_back(rng.uniform(0.1, 5.0));
-    expect_solvers_agree(c.capacity, c.demands, weights,
-                         ("trial " + std::to_string(trial)).c_str());
-    if (::testing::Test::HasFailure()) break;
-  }
-}
-
-TEST(MaxMinSortedSolver, AllSaturatedConsumersGetExactDemands) {
-  // Total demand below capacity: every consumer freezes at its demand and
-  // both solvers must return the demands themselves.
-  const std::vector<double> demands = {0.5, 3.0, 0.0, 2.25};
-  const std::vector<double> weights = {2.0, 1.0, 4.0, 0.5};
-  const auto sorted = max_min_allocate_weighted_sorted(100.0, demands, weights);
-  for (std::size_t i = 0; i < demands.size(); ++i)
-    EXPECT_DOUBLE_EQ(sorted[i], demands[i]) << i;
-  expect_solvers_agree(100.0, demands, weights, "all-saturated");
-}
-
-TEST(MaxMinSortedSolver, ZeroCapacityGivesZeroToEveryone) {
-  const std::vector<double> demands = {1.0, kInf, 0.0};
-  const std::vector<double> weights = {1.0, 2.0, 3.0};
-  const auto sorted = max_min_allocate_weighted_sorted(0.0, demands, weights);
-  for (const double a : sorted) EXPECT_DOUBLE_EQ(a, 0.0);
-  expect_solvers_agree(0.0, demands, weights, "zero-capacity");
-}
-
-TEST(MaxMinSortedSolver, GreedyConsumersSplitByWeight) {
-  const std::vector<double> demands = {kInf, kInf, 1.0};
-  const std::vector<double> weights = {1.0, 3.0, 1.0};
-  const auto sorted = max_min_allocate_weighted_sorted(9.0, demands, weights);
-  EXPECT_NEAR(sorted[2], 1.0, kTol);
-  EXPECT_NEAR(sorted[0], 2.0, kTol);
-  EXPECT_NEAR(sorted[1], 6.0, kTol);
-}
-
-TEST(MaxMinSortedSolver, RejectsInvalidInputsLikeTheDefault) {
-  const std::vector<double> neg = {-1.0};
-  const std::vector<double> one = {1.0};
-  const std::vector<double> zero_w = {0.0};
-  EXPECT_ANY_THROW(max_min_allocate_weighted_sorted(1.0, neg, one));
-  EXPECT_ANY_THROW(max_min_allocate_weighted_sorted(1.0, one, zero_w));
 }
 
 }  // namespace

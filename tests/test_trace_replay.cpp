@@ -58,20 +58,12 @@ SweepGrid fuzz_grid(std::uint64_t index) {
   return grid;
 }
 
-SweepResult sweep_result(const SweepGrid& grid, int threads,
-                         int sim_shards = 0) {
+std::vector<std::string> sweep_traces(const SweepGrid& grid, int threads) {
   SweepOptions options;
   options.threads = threads;
   options.capture_traces = true;
-  options.sim_shards = sim_shards;
-  SweepResult result = hpas::runner::run_sweep(grid, options);
+  const SweepResult result = hpas::runner::run_sweep(grid, options);
   EXPECT_TRUE(result.ok()) << result.first_error();
-  return result;
-}
-
-std::vector<std::string> sweep_traces(const SweepGrid& grid, int threads,
-                                      int sim_shards = 0) {
-  const SweepResult result = sweep_result(grid, threads, sim_shards);
   std::vector<std::string> traces;
   for (const auto& s : result.scenarios) {
     EXPECT_FALSE(s.trace_bin.empty()) << s.spec.name;
@@ -102,40 +94,6 @@ TEST(TraceReplay, FuzzGridsReplayByteIdenticalAcrossThreadCounts) {
         const auto divergence =
             hpas::trace::diff_traces(parse(baseline[i]), parse(rerun[i]));
         EXPECT_FALSE(divergence.diverged) << divergence.description;
-      }
-    }
-  }
-}
-
-TEST(TraceReplay, FuzzGridsAreShardCountInvariant) {
-  // The sharded executor's whole contract: any shard count, under any
-  // worker thread count, produces the serial run's bytes -- traces,
-  // metrics CSVs, and the aggregated summary alike.
-  for (std::uint64_t grid_index = 0; grid_index < 3; ++grid_index) {
-    const SweepGrid grid = fuzz_grid(grid_index);
-    const SweepResult baseline = sweep_result(grid, /*threads=*/1,
-                                              /*sim_shards=*/1);
-    const std::string baseline_summary = baseline.summary_json().dump();
-    for (const int shards : {1, 2, 4, 8}) {
-      for (const int threads : {1, 2, 5}) {
-        const SweepResult rerun = sweep_result(grid, threads, shards);
-        ASSERT_EQ(rerun.scenarios.size(), baseline.scenarios.size());
-        for (std::size_t i = 0; i < baseline.scenarios.size(); ++i) {
-          const auto& want = baseline.scenarios[i];
-          const auto& got = rerun.scenarios[i];
-          EXPECT_EQ(got.trace_bin, want.trace_bin)
-              << grid.name << " scenario " << i << " at " << shards
-              << " shards x " << threads << " threads";
-          EXPECT_EQ(got.metrics_csv, want.metrics_csv)
-              << grid.name << " scenario " << i << " at " << shards
-              << " shards x " << threads << " threads";
-          const auto divergence = hpas::trace::diff_traces(
-              parse(want.trace_bin), parse(got.trace_bin));
-          EXPECT_FALSE(divergence.diverged) << divergence.description;
-        }
-        EXPECT_EQ(rerun.summary_json().dump(), baseline_summary)
-            << grid.name << " at " << shards << " shards x " << threads
-            << " threads";
       }
     }
   }
