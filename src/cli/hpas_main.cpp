@@ -36,8 +36,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -51,7 +49,7 @@
 #include "common/shutdown.hpp"
 #include "common/units.hpp"
 #include "dataset/factory.hpp"
-#include "faultline/faultline.hpp"
+#include "faultline/durable.hpp"
 #include "runner/runner.hpp"
 #include "runner/thread_pool.hpp"
 #include "search/driver.hpp"
@@ -280,31 +278,16 @@ int run_sweep_command(const std::vector<std::string>& argv) {
   return 0;
 }
 
-/// Temp-sibling + rename, mirroring the runner's atomic output writes.
+/// Search, replay and submit outputs: the sweep's durable write path.
 void write_text_file(const std::string& path, const std::string& bytes) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw hpas::SystemError("cannot write " + tmp);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    if (!out) throw hpas::SystemError("short write to " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0)
-    throw hpas::SystemError("cannot rename " + tmp + " to " + path);
-}
-
-hpas::Json load_json_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw hpas::SystemError("cannot read " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return hpas::Json::parse(text.str());
+  hpas::faultline::write_file_atomic(hpas::faultline::Domain::kJournal, path,
+                                     bytes);
 }
 
 /// Re-runs one frontier entry and verifies it reproduces the recorded
 /// summary row byte-for-byte. Exit 0 = reproduced, 3 = mismatch.
 int run_search_replay(const hpas::ParsedArgs& args) {
-  const hpas::Json doc = load_json_file(args.value("replay"));
+  const hpas::Json doc = hpas::faultline::load_json_file(args.value("replay"));
   const hpas::Json* entry = nullptr;
   if (args.flag("minimized")) {
     entry = doc.find("minimized");
@@ -869,7 +852,8 @@ int run_dataset_command(const std::vector<std::string>& argv) {
                    "       hpas dataset -o DIR --manifest-only\n");
       return 2;
     }
-    const hpas::Json doc = load_json_file(args.positional()[0]);
+    const hpas::Json doc =
+        hpas::faultline::load_json_file(args.positional()[0]);
     if (doc.find("dimensions") != nullptr) {
       auto space = hpas::search::ScenarioSpace::from_json(doc);
       if (args.has("seed"))

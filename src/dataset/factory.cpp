@@ -4,8 +4,8 @@
 #include <atomic>
 #include <utility>
 
-#include "common/crc32.hpp"
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "dataset/streaming.hpp"
 #include "runner/journal.hpp"
 #include "runner/runner.hpp"
@@ -19,28 +19,6 @@ namespace {
 constexpr std::uint64_t kPlanSeed = 0x4450534554504c4eULL;  // "DPSETPLN"
 constexpr std::uint64_t kRowSeed = 0x44535452ULL;           // "DSTR"
 constexpr std::uint64_t kNoiseStream = 0x4e6f697365ULL;     // "Noise"
-
-/// splitmix-style combine, same shape as the journal key hash.
-void mix(std::uint64_t& h, std::uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  h ^= h >> 30;
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= h >> 27;
-  h *= 0x94d049bb133111ebULL;
-  h ^= h >> 31;
-}
-
-void mix_string(std::uint64_t& h, const std::string& s) {
-  mix(h, s.size());
-  mix(h, crc32(s));
-}
-
-void mix_double(std::uint64_t& h, double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  __builtin_memcpy(&bits, &v, sizeof(bits));
-  mix(h, bits);
-}
 
 /// Class label from an anomaly name, growing the label map in
 /// first-appearance order (deterministic: plans are built serially).

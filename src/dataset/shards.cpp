@@ -10,11 +10,14 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <optional>
 
 #include "common/crc32.hpp"
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "common/json.hpp"
+#include "common/le_bytes.hpp"
+#include "faultline/durable.hpp"
 #include "runner/journal.hpp"
 
 namespace hpas::dataset {
@@ -31,57 +34,6 @@ constexpr char kCsvName[] = "dataset.csv";
 /// this cap means the sequencer invariant broke, not a big machine.
 constexpr std::size_t kMaxPendingRows = 8192;
 
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
-}
-
-void put_f64(std::string& out, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(out, bits);
-}
-
-std::uint32_t get_u32(const unsigned char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t get_u64(const unsigned char* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
-double get_f64(const unsigned char* p) {
-  const std::uint64_t bits = get_u64(p);
-  double v = 0.0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-void write_all(int fd, const std::string& path, const char* data,
-               std::size_t size) {
-  std::size_t done = 0;
-  while (done < size) {
-    const ssize_t w = ::write(fd, data + done, size - done);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      throw SystemError("dataset: write failed on " + path + ": " +
-                        std::strerror(errno));
-    }
-    done += static_cast<std::size_t>(w);
-  }
-}
-
 std::string shard_header_bytes(std::uint32_t index, std::uint32_t shard_count,
                                std::uint32_t num_features) {
   std::string h(kShardMagic, sizeof(kShardMagic));
@@ -90,30 +42,6 @@ std::string shard_header_bytes(std::uint32_t index, std::uint32_t shard_count,
   put_u32(h, shard_count);
   put_u32(h, num_features);
   return h;
-}
-
-void write_file_atomic(const std::string& path, const std::string& bytes) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out.is_open())
-      throw SystemError("dataset: cannot write " + tmp);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    if (!out.good()) throw SystemError("dataset: short write to " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0)
-    throw SystemError("dataset: rename " + tmp + " -> " + path + " failed: " +
-                      std::strerror(errno));
-}
-
-/// splitmix-style combine (same shape as the journal's key hash).
-void mix(std::uint64_t& h, std::uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  h ^= h >> 30;
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= h >> 27;
-  h *= 0x94d049bb133111ebULL;
-  h ^= h >> 31;
 }
 
 // --- read-back scan ----------------------------------------------------
@@ -152,7 +80,7 @@ struct ShardReader {
 /// structural error (frames cannot be realigned past corruption).
 ScanResult scan_shards(const std::string& dir, std::uint32_t shards,
                        std::uint32_t num_features, std::size_t num_classes,
-                       std::ostream* csv) {
+                       faultline::AtomicFile* csv) {
   ScanResult r;
   r.shard_rows.assign(shards, 0);
   r.shard_bytes.assign(shards, 0);
@@ -201,25 +129,20 @@ ScanResult scan_shards(const std::string& dir, std::uint32_t shards,
       // with leftover rows after another hit EOF is a count mismatch.
       break;
     }
-    if (got != frame.size()) {
-      r.errors.push_back("torn frame at row " + std::to_string(row) + " in " +
-                         rd.path);
+    const faultline::FrameView view = faultline::check_frame(
+        std::string_view(frame.data(), got), 0,
+        static_cast<std::uint32_t>(payload_size));
+    if (view.status != faultline::FrameStatus::kOk ||
+        view.payload.size() != payload_size) {
+      const char* damage = view.status == faultline::FrameStatus::kOk
+                               ? "bad frame length"
+                               : faultline::frame_damage(view.status);
+      r.errors.push_back(std::string(damage) + " at row " +
+                         std::to_string(row) + " in " + rd.path);
       return r;
     }
-    const auto* p = reinterpret_cast<const unsigned char*>(frame.data());
-    const std::uint32_t len = get_u32(p);
-    if (len != payload_size) {
-      r.errors.push_back("bad frame length at row " + std::to_string(row) +
-                         " in " + rd.path);
-      return r;
-    }
-    const unsigned char* payload = p + 4;
-    const std::uint32_t stored = get_u32(payload + payload_size);
-    if (crc32(payload, payload_size) != stored) {
-      r.errors.push_back("frame CRC mismatch at row " + std::to_string(row) +
-                         " in " + rd.path);
-      return r;
-    }
+    const auto* payload =
+        reinterpret_cast<const unsigned char*>(view.payload.data());
     const std::uint64_t row_index = get_u64(payload);
     if (row_index != row) {
       r.errors.push_back("row index " + std::to_string(row_index) +
@@ -238,9 +161,8 @@ ScanResult scan_shards(const std::string& dir, std::uint32_t shards,
     ++r.shard_rows[shard_of_row(row, shards)];
     ++r.rows;
 
-    if (csv != nullptr) {
-      *csv << row << ',' << label;
-    }
+    if (csv != nullptr)
+      csv->append(std::to_string(row) + ',' + std::to_string(label));
     for (std::uint32_t f = 0; f < num_features; ++f) {
       const unsigned char* cell = payload + 12 + 8 * std::size_t{f};
       r.feature_crc[f] = crc32_update(r.feature_crc[f], cell, 8);
@@ -257,9 +179,9 @@ ScanResult scan_shards(const std::string& dir, std::uint32_t shards,
       const double delta = v - agg.mean;
       agg.mean += delta / static_cast<double>(agg.count);
       agg.m2 += delta * (v - agg.mean);
-      if (csv != nullptr) *csv << ',' << json_number_to_string(v);
+      if (csv != nullptr) csv->append(',' + json_number_to_string(v));
     }
-    if (csv != nullptr) *csv << '\n';
+    if (csv != nullptr) csv->append("\n");
   }
 
   for (std::uint32_t s = 0; s < shards; ++s) {
@@ -287,24 +209,7 @@ std::string hex64(std::uint64_t v) {
   return buf;
 }
 
-Json load_json_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) throw SystemError("dataset: cannot read " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return Json::parse(buf.str());
-}
-
 }  // namespace
-
-/// Owns the runner journal (kept out of the header so shards.hpp does
-/// not leak the runner dependency into every includer).
-class JournalHolder {
- public:
-  JournalHolder(const std::string& path, bool truncate)
-      : writer(path, truncate) {}
-  runner::JournalWriter writer;
-};
 
 std::string shard_file_name(std::uint32_t index) {
   char buf[32];
@@ -344,20 +249,13 @@ DatasetWriter::DatasetWriter(DatasetMeta meta, DatasetWriterOptions options)
   header.trace_crc = meta_.num_features;
   header.trace_records = meta_.rows;
 
-  if (!options_.resume) {
-    for (std::uint32_t s = 0; s < meta_.shards; ++s)
-      create_fresh(shards_[s], s);
-    journal_ = std::make_unique<JournalHolder>(journal_path, true);
-    journal_->writer.append(header);
-    return;
-  }
-
   // Resume: the journal's valid prefix names, per shard, the newest
   // durable (fsync-before-journal) prefix. A torn tail is the expected
   // post-crash state; the journal is rewritten below, so it self-heals.
-  const auto read = runner::read_journal(journal_path);
-  std::vector<std::vector<const runner::JournalRecord*>> checkpoints(
-      meta_.shards);
+  // A fresh run has no checkpoints and creates every shard.
+  runner::JournalReadResult read;
+  if (options_.resume) read = runner::read_journal(journal_path);
+  std::vector<std::pair<std::uint32_t, const runner::JournalRecord*>> history;
   if (!read.records.empty()) {
     const runner::JournalRecord& h = read.records.front();
     if (h.key_hash != meta_.plan_digest || h.name != "dataset-plan" ||
@@ -368,32 +266,37 @@ DatasetWriter::DatasetWriter(DatasetMeta meta, DatasetWriterOptions options)
           "(digest/shape mismatch); use a fresh output directory");
     }
     for (std::size_t i = 1; i < read.records.size(); ++i) {
-      const runner::JournalRecord& rec = read.records[i];
       for (std::uint32_t s = 0; s < meta_.shards; ++s) {
-        if (rec.key_hash == checkpoint_key(s)) {
-          checkpoints[s].push_back(&rec);
+        if (read.records[i].key_hash == checkpoint_key(s)) {
+          history.emplace_back(s, &read.records[i]);
           break;
         }
       }
     }
   }
   for (std::uint32_t s = 0; s < meta_.shards; ++s) {
-    bool adopted = false;
-    for (auto it = checkpoints[s].rbegin(); it != checkpoints[s].rend();
-         ++it) {
-      adopt_or_reset(shards_[s], s, (*it)->trace_records,
-                     (*it)->app_iterations, (*it)->csv_crc);
-      if (shards_[s].fd >= 0) {
-        adopted = true;
-        break;
-      }
+    // Newest checkpoint first; an older one is the fallback when the
+    // shard's bytes do not validate against it.
+    for (auto it = history.rbegin(); it != history.rend(); ++it) {
+      if (it->first != s) continue;
+      const runner::JournalRecord& ckpt = *it->second;
+      adopt_or_reset(shards_[s], s, ckpt.trace_records, ckpt.app_iterations,
+                     ckpt.csv_crc);
+      if (shards_[s].fd >= 0) break;
     }
-    if (!adopted) create_fresh(shards_[s], s);
+    if (shards_[s].fd < 0) create_fresh(shards_[s], s);
   }
-  journal_ = std::make_unique<JournalHolder>(journal_path, true);
-  journal_->writer.append(header);
-  for (std::uint32_t s = 0; s < meta_.shards; ++s) {
-    if (shards_[s].durable_rows > 0) checkpoint(shards_[s], s);
+  // Shard files are named by every checkpoint record: their directory
+  // entries must be durable before the plan record is.
+  faultline::sync_parent_dir(faultline::Domain::kJournal, journal_path);
+  journal_ = std::make_unique<runner::JournalWriter>(journal_path, true);
+  journal_->append(header);
+  // Keep the checkpoint history of every adopted prefix, in its original
+  // order: a resumed dataset's journal is then byte-identical to the one
+  // an uninterrupted run writes.
+  for (const auto& [s, ckpt] : history) {
+    if (ckpt->app_iterations <= shards_[s].durable_rows)
+      journal_->append(*ckpt);
   }
 }
 
@@ -413,7 +316,8 @@ void DatasetWriter::create_fresh(Shard& shard, std::uint32_t index) {
                       std::strerror(errno));
   const std::string header =
       shard_header_bytes(index, meta_.shards, meta_.num_features);
-  write_all(shard.fd, shard.path, header.data(), header.size());
+  faultline::write_all(faultline::Domain::kJournal, shard.fd, shard.path,
+                       header);
   shard.crc_state = crc32_update(crc32_init(), header.data(), header.size());
   shard.bytes = header.size();
   shard.rows = 0;
@@ -486,16 +390,16 @@ std::uint64_t DatasetWriter::rows_durable() const {
 void DatasetWriter::write_row(Shard& shard, std::uint32_t index,
                               std::uint64_t row, int label,
                               std::span<const double> features) {
+  std::string payload;
+  payload.reserve(12 + 8 * features.size());
+  put_u64(payload, row);
+  put_u32(payload, static_cast<std::uint32_t>(label));
+  for (const double v : features) put_f64(payload, v);
   std::string frame;
-  frame.reserve(8 + 12 + 8 * features.size());
-  put_u32(frame, static_cast<std::uint32_t>(12 + 8 * features.size()));
-  const std::size_t payload_begin = frame.size();
-  put_u64(frame, row);
-  put_u32(frame, static_cast<std::uint32_t>(label));
-  for (const double v : features) put_f64(frame, v);
-  put_u32(frame, crc32(frame.data() + payload_begin,
-                       frame.size() - payload_begin));
-  write_all(shard.fd, shard.path, frame.data(), frame.size());
+  frame.reserve(8 + payload.size());
+  faultline::append_frame(frame, payload);
+  faultline::write_all(faultline::Domain::kJournal, shard.fd, shard.path,
+                       frame);
   shard.crc_state = crc32_update(shard.crc_state, frame.data(), frame.size());
   shard.bytes += frame.size();
   ++shard.rows;
@@ -506,9 +410,7 @@ void DatasetWriter::checkpoint(Shard& shard, std::uint32_t index) {
   // Durability order is the resume contract: shard bytes reach disk
   // BEFORE the journal record that describes them, so a validated
   // checkpoint always names an intact prefix.
-  if (::fsync(shard.fd) != 0)
-    throw SystemError("dataset: fsync failed on " + shard.path + ": " +
-                      std::strerror(errno));
+  faultline::sync_file(faultline::Domain::kJournal, shard.fd, shard.path);
   runner::JournalRecord rec;
   rec.key_hash = checkpoint_key(index);
   rec.status = runner::JournalStatus::kDone;
@@ -517,7 +419,7 @@ void DatasetWriter::checkpoint(Shard& shard, std::uint32_t index) {
   rec.csv_crc = crc32_final(shard.crc_state);
   rec.trace_records = shard.bytes;
   rec.app_iterations = shard.rows;
-  journal_->writer.append(rec);
+  journal_->append(rec);
   shard.checkpoint_rows = shard.rows;
 }
 
@@ -586,19 +488,17 @@ std::string DatasetWriter::finish(bool write_csv) {
   // Read-back pass: verifies every byte just written and aggregates the
   // manifest facts in plan order (so the manifest, like the shards, is
   // independent of thread count and resume history).
-  std::ofstream csv;
-  const std::string csv_path = options_.out_dir + "/" + kCsvName;
-  const std::string csv_tmp = csv_path + ".tmp";
+  std::optional<faultline::AtomicFile> csv;
   if (write_csv) {
-    csv.open(csv_tmp, std::ios::binary | std::ios::trunc);
-    if (!csv.is_open()) throw SystemError("dataset: cannot write " + csv_tmp);
-    csv << "row,label";
-    for (const std::string& name : meta_.feature_names) csv << ',' << name;
-    csv << '\n';
+    csv.emplace(faultline::Domain::kJournal,
+                options_.out_dir + "/" + kCsvName);
+    std::string header = "row,label";
+    for (const std::string& name : meta_.feature_names) header += ',' + name;
+    csv->append(header + '\n');
   }
   ScanResult scan =
       scan_shards(options_.out_dir, meta_.shards, meta_.num_features,
-                  meta_.class_names.size(), write_csv ? &csv : nullptr);
+                  meta_.class_names.size(), csv ? &*csv : nullptr);
   if (!scan.errors.empty())
     throw SystemError("dataset: read-back verification failed: " +
                       scan.errors.front());
@@ -607,12 +507,7 @@ std::string DatasetWriter::finish(bool write_csv) {
     require(scan.shard_crc[s] == crc32_final(shards_[s].crc_state),
             "dataset: read-back CRC diverged from incremental CRC");
   }
-  if (write_csv) {
-    csv.close();
-    if (std::rename(csv_tmp.c_str(), csv_path.c_str()) != 0)
-      throw SystemError("dataset: rename " + csv_tmp + " -> " + csv_path +
-                        " failed: " + std::strerror(errno));
-  }
+  if (csv) csv->commit();
 
   Json m = Json::object();
   m.set("format", Json("hpas-dataset-v1"));
@@ -661,7 +556,8 @@ std::string DatasetWriter::finish(bool write_csv) {
   m.set("feature_stats", std::move(feature_stats));
 
   const std::string manifest_path = options_.out_dir + "/" + kManifestName;
-  write_file_atomic(manifest_path, m.dump(2));
+  faultline::write_file_atomic(faultline::Domain::kJournal, manifest_path,
+                               m.dump(2));
   return manifest_path;
 }
 
@@ -669,7 +565,7 @@ VerifyReport verify_dataset(const std::string& dir) {
   VerifyReport report;
   Json manifest;
   try {
-    manifest = load_json_file(dir + "/" + kManifestName);
+    manifest = faultline::load_json_file(dir + "/" + kManifestName);
   } catch (const std::exception& e) {
     report.errors.push_back(std::string("manifest unreadable: ") + e.what());
     return report;

@@ -15,12 +15,14 @@
 //                      its newest CRC-validating checkpointed prefix and
 //                      re-runs the missing rows, which reproduces the
 //                      uninterrupted bytes exactly.
-//   manifest.json      written last (atomic tmp+rename) by a full
-//                      read-back pass: per-shard row counts / byte sizes /
-//                      whole-file CRCs, per-feature column CRCs and
-//                      online stats (fed in plan order), the label map
-//                      and label histogram.
+//   manifest.json      written last by a full read-back pass: per-shard
+//                      row counts / byte sizes / whole-file CRCs,
+//                      per-feature column CRCs and online stats (fed in
+//                      plan order), the label map and label histogram.
 //   dataset.csv        optional plan-order CSV export.
+//
+// The manifest and CSV are published atomically (tmp + fsync + rename +
+// directory fsync, see faultline/durable.hpp).
 //
 // Shard file format (all integers little-endian):
 //
@@ -42,6 +44,10 @@
 #include <span>
 #include <string>
 #include <vector>
+
+namespace hpas::runner {
+class JournalWriter;
+}
 
 namespace hpas::dataset {
 
@@ -133,7 +139,7 @@ class DatasetWriter {
   DatasetMeta meta_;
   DatasetWriterOptions options_;
   std::vector<Shard> shards_;
-  std::unique_ptr<class JournalHolder> journal_;
+  std::unique_ptr<runner::JournalWriter> journal_;
   std::mutex mutex_;
   bool abandoned_ = false;
   bool finished_ = false;

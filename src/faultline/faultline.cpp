@@ -8,7 +8,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -17,6 +16,7 @@
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "common/rng.hpp"
+#include "faultline/durable.hpp"
 
 namespace hpas::faultline {
 namespace {
@@ -260,6 +260,30 @@ bool apply_transfer_fault(Engine* engine, Domain d, Op op, int fd,
   return false;
 }
 
+/// Shared slow path of the non-transfer calls (fsync, rename): true
+/// when an injected errno fails the call. Crashes do not return.
+bool fail_call(Domain d, Op op) {
+  Engine* engine = g_engine.load(std::memory_order_acquire);
+  if (engine == nullptr) return false;
+  const Action action = engine->evaluate(d, op, 0);
+  if (action.none) return false;
+  switch (action.kind) {
+    case FaultKind::kErrno:
+      errno = action.err;
+      return true;
+    case FaultKind::kCrash:
+    case FaultKind::kTornCrash:
+      ::_exit(kCrashExitCode);
+    case FaultKind::kStall:
+      std::this_thread::sleep_for(
+          std::chrono::duration<double, std::milli>(action.stall_ms));
+      break;
+    default:
+      break;  // short transfers are meaningless here
+  }
+  return false;
+}
+
 }  // namespace
 
 const char* domain_name(Domain d) {
@@ -334,12 +358,7 @@ FaultSchedule FaultSchedule::parse(const std::string& text) {
 }
 
 FaultSchedule FaultSchedule::load_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in)
-    throw SystemError("faultline: cannot read schedule file " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return parse(text.str());
+  return from_json(load_json_file(path));
 }
 
 Json FaultSchedule::to_json() const {
@@ -444,49 +463,11 @@ ssize_t send_fd(Domain d, int fd, const void* buf, std::size_t n,
 }
 
 int fsync(Domain d, int fd) {
-  Engine* engine = g_engine.load(std::memory_order_acquire);
-  if (engine == nullptr) return ::fsync(fd);
-  const Action action = engine->evaluate(d, Op::kFsync, 0);
-  if (!action.none) {
-    switch (action.kind) {
-      case FaultKind::kErrno:
-        errno = action.err;
-        return -1;
-      case FaultKind::kCrash:
-      case FaultKind::kTornCrash:
-        ::_exit(kCrashExitCode);
-      case FaultKind::kStall:
-        std::this_thread::sleep_for(
-            std::chrono::duration<double, std::milli>(action.stall_ms));
-        break;
-      default:
-        break;  // short transfers are meaningless for fsync
-    }
-  }
-  return ::fsync(fd);
+  return fail_call(d, Op::kFsync) ? -1 : ::fsync(fd);
 }
 
 int rename_file(Domain d, const char* old_path, const char* new_path) {
-  Engine* engine = g_engine.load(std::memory_order_acquire);
-  if (engine == nullptr) return std::rename(old_path, new_path);
-  const Action action = engine->evaluate(d, Op::kRename, 0);
-  if (!action.none) {
-    switch (action.kind) {
-      case FaultKind::kErrno:
-        errno = action.err;
-        return -1;
-      case FaultKind::kCrash:
-      case FaultKind::kTornCrash:
-        ::_exit(kCrashExitCode);
-      case FaultKind::kStall:
-        std::this_thread::sleep_for(
-            std::chrono::duration<double, std::milli>(action.stall_ms));
-        break;
-      default:
-        break;
-    }
-  }
-  return std::rename(old_path, new_path);
+  return fail_call(d, Op::kRename) ? -1 : std::rename(old_path, new_path);
 }
 
 }  // namespace hpas::faultline

@@ -1,9 +1,10 @@
 // faultline -- deterministic, seeded fault injection for every I/O edge
 // the durability argument depends on.
 //
-// The journal writer, the cache spool path, the wire protocol, and the
-// submit client do their raw I/O through the interposed syscall wrappers
-// below (faultline::write / read / send / fsync / rename_file). With no
+// Every durable file (through faultline/durable.hpp), the wire protocol
+// and the submit client do their raw I/O through the interposed syscall
+// wrappers below (faultline::write / read / send / fsync / rename_file),
+// directory fsyncs included. With no
 // schedule armed they are one relaxed atomic load away from the real
 // syscall -- compiled in always, zero cost, and never part of scenario
 // identity. Arm a FaultSchedule (programmatically in tests, or via
@@ -53,7 +54,8 @@ namespace hpas::faultline {
 /// Which subsystem edge a call belongs to. Rules match on it, and the
 /// crash-point counter only ticks in `crash_domains`.
 enum class Domain : std::uint8_t {
-  kJournal = 0,  ///< JournalWriter header/frame writes + fsync
+  kJournal = 0,  ///< journals and every file their records name: sweep
+                 ///< and search outputs, dataset shards, manifest, CSV
   kCache = 1,    ///< result-cache spool writes, fsync, rename
   kSocket = 2,   ///< server-side frame codec reads/writes
   kClient = 3,   ///< submit-client frame codec reads/writes

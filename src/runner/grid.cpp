@@ -2,13 +2,12 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 
 #include "anomalies/suite.hpp"
 #include "apps/profiles.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "faultline/durable.hpp"
 
 namespace hpas::runner {
 namespace {
@@ -135,12 +134,8 @@ SweepGrid expand_grid(const Json& spec) {
 }
 
 SweepGrid load_grid_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw SystemError("cannot read grid file: " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
   try {
-    return expand_grid(Json::parse(text.str()));
+    return expand_grid(faultline::load_json_file(path));
   } catch (const ConfigError& e) {
     throw ConfigError(path + ": " + e.what());
   }

@@ -3,60 +3,20 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cerrno>
 #include <cstring>
-#include <fstream>
-#include <sstream>
+#include <optional>
 
-#include "common/crc32.hpp"
 #include "common/error.hpp"
-#include "faultline/faultline.hpp"
+#include "common/hash.hpp"
+#include "common/le_bytes.hpp"
+#include "faultline/durable.hpp"
 
 namespace hpas::runner {
 namespace {
 
 constexpr char kMagic[8] = {'H', 'P', 'A', 'S', 'J', 'N', 'L', '1'};
-
-/// All journal bytes leave through here: a short-write retry loop over
-/// the faultline journal domain, so injected short writes, EIO/ENOSPC,
-/// and torn-write crash points hit exactly the path real disks fail on.
-void write_all(int fd, const std::string& path, const char* data,
-               std::size_t size) {
-  std::size_t done = 0;
-  while (done < size) {
-    const ssize_t w = faultline::write(faultline::Domain::kJournal, fd,
-                                       data + done, size - done);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      throw SystemError("journal: write failed on " + path + ": " +
-                        std::strerror(errno));
-    }
-    done += static_cast<std::size_t>(w);
-  }
-}
-
-// --- little-endian payload serialization -------------------------------
-
-void put_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
-}
-
-void put_f64(std::string& out, double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(out, bits);
-}
 
 void put_string(std::string& out, const std::string& s) {
   put_u32(out, static_cast<std::uint32_t>(s.size()));
@@ -66,52 +26,28 @@ void put_string(std::string& out, const std::string& s) {
 // Bounds-checked cursor over a payload. Failed reads set `ok` false and
 // return zeros, so the caller can decode unconditionally and check once.
 struct Cursor {
-  const unsigned char* p;
-  std::size_t n;
+  std::string_view bytes;
   std::size_t off = 0;
   bool ok = true;
 
-  bool take(std::size_t k) {
-    if (!ok || n - off < k) {
-      ok = false;
-      return false;
-    }
-    return true;
+  /// The next `k` bytes, or nullptr once past the end.
+  const unsigned char* take(std::size_t k) {
+    ok = ok && bytes.size() - off >= k;
+    if (!ok) return nullptr;
+    off += k;
+    return reinterpret_cast<const unsigned char*>(bytes.data() + off - k);
   }
-  std::uint8_t u8() {
-    if (!take(1)) return 0;
-    return p[off++];
+  template <typename T>
+  T le() {
+    const unsigned char* p = take(sizeof(T));
+    return p != nullptr ? get_le<T>(p) : T{};
   }
-  std::uint32_t u32() {
-    if (!take(4)) return 0;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-      v |= static_cast<std::uint32_t>(p[off + static_cast<std::size_t>(i)])
-           << (8 * i);
-    off += 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    if (!take(8)) return 0;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-      v |= static_cast<std::uint64_t>(p[off + static_cast<std::size_t>(i)])
-           << (8 * i);
-    off += 8;
-    return v;
-  }
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
+  double f64() { return std::bit_cast<double>(le<std::uint64_t>()); }
   std::string str() {
-    const std::uint32_t len = u32();
-    if (!take(len)) return {};
-    std::string s(reinterpret_cast<const char*>(p + off), len);
-    off += len;
-    return s;
+    const auto len = le<std::uint32_t>();
+    const unsigned char* p = take(len);
+    return p != nullptr ? std::string(reinterpret_cast<const char*>(p), len)
+                        : std::string();
   }
 };
 
@@ -137,55 +73,31 @@ std::string encode_record(const JournalRecord& r) {
   return payload;
 }
 
-bool decode_record(const unsigned char* data, std::size_t n,
-                   JournalRecord& out) {
-  Cursor c{data, n};
-  out.key_hash = c.u64();
-  const std::uint8_t status = c.u8();
+bool decode_record(std::string_view payload, JournalRecord& out) {
+  Cursor c{payload};
+  out.key_hash = c.le<std::uint64_t>();
+  const auto status = c.le<std::uint8_t>();
   out.name = c.str();
   out.output = c.str();
-  out.csv_crc = c.u32();
-  out.trace_crc = c.u32();
-  out.trace_records = c.u64();
-  out.app_iterations = c.u64();
+  out.csv_crc = c.le<std::uint32_t>();
+  out.trace_crc = c.le<std::uint32_t>();
+  out.trace_records = c.le<std::uint64_t>();
+  out.app_iterations = c.le<std::uint64_t>();
   out.app_elapsed_s = c.f64();
   out.wall_seconds = c.f64();
   out.error = c.str();
   out.has_objective = false;
   out.objective = 0.0;
-  if (c.ok && c.off < n) {
+  if (c.ok && c.off < payload.size()) {
     // Trailing objective extension; anything else trailing is corruption.
-    const std::uint8_t flag = c.u8();
-    if (flag != 1) return false;
+    if (c.le<std::uint8_t>() != 1) return false;
     out.objective = c.f64();
     out.has_objective = true;
   }
-  if (!c.ok || c.off != n) return false;
+  if (!c.ok || c.off != payload.size()) return false;
   if (status < 1 || status > 4) return false;
   out.status = static_cast<JournalStatus>(status);
   return true;
-}
-
-void mix(std::uint64_t& h, std::uint64_t v) {
-  // splitmix64 finalizer as the combining step: full-avalanche per field,
-  // so adjacent grid points (intensity 1.0 vs 1.5) land far apart.
-  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  h ^= h >> 30;
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= h >> 27;
-  h *= 0x94d049bb133111ebULL;
-  h ^= h >> 31;
-}
-
-void mix_string(std::uint64_t& h, const std::string& s) {
-  mix(h, s.size());
-  mix(h, crc32(s));
-}
-
-void mix_double(std::uint64_t& h, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  mix(h, bits);
 }
 
 }  // namespace
@@ -231,13 +143,16 @@ JournalWriter::JournalWriter(const std::string& path, bool truncate)
   const off_t end = ::lseek(fd_, 0, SEEK_END);
   if (end == 0) {
     try {
-      write_all(fd_, path, kMagic, sizeof(kMagic));
+      faultline::write_all(faultline::Domain::kJournal, fd_, path,
+                           std::string_view(kMagic, sizeof(kMagic)));
+      faultline::sync_file(faultline::Domain::kJournal, fd_, path);
+      // The new file's directory entry must be as durable as its bytes.
+      faultline::sync_parent_dir(faultline::Domain::kJournal, path);
     } catch (const SystemError&) {
       ::close(fd_);
       fd_ = -1;
       throw;
     }
-    faultline::fsync(faultline::Domain::kJournal, fd_);
   }
 }
 
@@ -249,80 +164,48 @@ void JournalWriter::append(const JournalRecord& record) {
   const std::string payload = encode_record(record);
   std::string frame;
   frame.reserve(payload.size() + 8);
-  put_u32(frame, static_cast<std::uint32_t>(payload.size()));
-  frame.append(payload);
-  put_u32(frame, crc32(payload));
+  faultline::append_frame(frame, payload);
   // One write() per frame: either the whole record lands or the reader
   // sees a short tail it can discard. fsync makes "journaled" mean
   // "survives SIGKILL and power loss", which is the resume contract.
-  write_all(fd_, path_, frame.data(), frame.size());
-  if (faultline::fsync(faultline::Domain::kJournal, fd_) != 0)
-    throw SystemError("journal: fsync failed on " + path_ + ": " +
-                      std::strerror(errno));
+  faultline::write_all(faultline::Domain::kJournal, fd_, path_, frame);
+  faultline::sync_file(faultline::Domain::kJournal, fd_, path_);
 }
 
 JournalReadResult read_journal(const std::string& path) {
   JournalReadResult result;
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
+  const std::optional<std::string> file = faultline::read_file(path);
+  if (!file) {
     if (::access(path.c_str(), F_OK) == 0)
       throw SystemError("journal: cannot read " + path);
     return result;  // no journal yet: a fresh sweep
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string bytes = buf.str();
+  const std::string& bytes = *file;
   if (bytes.size() < sizeof(kMagic) ||
       std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
     result.damage = "bad or truncated journal header";
     return result;
   }
 
-  const auto* data = reinterpret_cast<const unsigned char*>(bytes.data());
-  std::size_t off = sizeof(kMagic);
-  const std::size_t size = bytes.size();
   // Sanity cap on frame length: no real record approaches this, so a
   // huge length means we are reading garbage, not a record.
   constexpr std::uint32_t kMaxFrame = 1u << 20;
-  while (off < size) {
-    if (size - off < 4) {
-      result.dropped_frames = 1;
-      result.damage = "torn frame length at tail";
-      break;
-    }
-    std::uint32_t len = 0;
-    for (int i = 0; i < 4; ++i)
-      len |= static_cast<std::uint32_t>(data[off + static_cast<std::size_t>(i)])
-             << (8 * i);
-    if (len > kMaxFrame) {
-      result.dropped_frames = 1;
-      result.damage = "implausible frame length (corrupt journal)";
-      break;
-    }
-    if (size - off < 8 + static_cast<std::size_t>(len)) {
-      result.dropped_frames = 1;
-      result.damage = "torn frame payload at tail";
-      break;
-    }
-    const unsigned char* payload = data + off + 4;
-    std::uint32_t stored_crc = 0;
-    for (int i = 0; i < 4; ++i)
-      stored_crc |= static_cast<std::uint32_t>(
-                        payload[len + static_cast<std::size_t>(i)])
-                    << (8 * i);
-    if (crc32(payload, len) != stored_crc) {
-      result.dropped_frames = 1;
-      result.damage = "frame CRC mismatch";
-      break;
-    }
+  std::size_t off = sizeof(kMagic);
+  while (off < bytes.size()) {
+    const faultline::FrameView frame =
+        faultline::check_frame(bytes, off, kMaxFrame);
     JournalRecord record;
-    if (!decode_record(payload, len, record)) {
-      result.dropped_frames = 1;
+    if (frame.status != faultline::FrameStatus::kOk) {
+      result.damage = faultline::frame_damage(frame.status);
+    } else if (!decode_record(frame.payload, record)) {
       result.damage = "undecodable frame payload";
-      break;
+    } else {
+      result.records.push_back(std::move(record));
+      off = frame.next;
+      continue;
     }
-    result.records.push_back(std::move(record));
-    off += 8 + static_cast<std::size_t>(len);
+    result.dropped_frames = 1;
+    break;
   }
   return result;
 }

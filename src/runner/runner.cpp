@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -18,6 +17,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "faultline/durable.hpp"
 #include "metrics/csv.hpp"
 #include "runner/journal.hpp"
 #include "runner/thread_pool.hpp"
@@ -89,41 +89,9 @@ void append_stats_members(Json& obj, const std::vector<double>& xs) {
   obj.set("cv_pct", cv);
 }
 
-/// Writes `bytes` to `<path>.tmp` and renames it over `path`, so readers
-/// never observe a partially written file and a failure (full disk,
-/// cancelled sweep) leaves the target untouched. The temporary is removed
-/// on any error before the SystemError propagates.
-void write_file_atomic(const std::string& path, const std::string& bytes) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw SystemError("cannot open for writing: " + tmp);
-    out << bytes;
-    out.flush();
-    if (!out) {
-      out.close();
-      std::error_code ignored;
-      std::filesystem::remove(tmp, ignored);
-      throw SystemError("write failed: " + tmp);
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::error_code ignored;
-    std::filesystem::remove(tmp, ignored);
-    throw SystemError("cannot rename " + tmp + " to " + path + ": " +
-                      ec.message());
-  }
-}
-
-bool read_file(const std::string& path, std::string& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return false;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  out = buf.str();
-  return in.good() || in.eof();
+/// Outputs are named by journal records, so they share its fault domain.
+void write_output(const std::string& path, const std::string& bytes) {
+  faultline::write_file_atomic(faultline::Domain::kJournal, path, bytes);
 }
 
 /// A crashed sweep can leave `*.tmp` siblings from interrupted atomic
@@ -307,14 +275,14 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& options) {
         // Trust nothing the journal says about outputs until the bytes on
         // disk digest to the journaled CRCs; any mismatch (deleted file,
         // truncated write, manual edit) re-runs the scenario.
-        std::string csv;
-        if (!read_file(out_dir + "/" + rec.output, csv)) continue;
-        if (crc32(csv) != rec.csv_crc) continue;
-        std::string trace_bin;
+        std::optional<std::string> csv =
+            faultline::read_file(out_dir + "/" + rec.output);
+        if (!csv || crc32(*csv) != rec.csv_crc) continue;
+        std::optional<std::string> trace_bin;
         if (rec.trace_crc != 0) {
-          if (!read_file(out_dir + "/" + spec.name + ".trace.bin", trace_bin))
-            continue;
-          if (crc32(trace_bin) != rec.trace_crc) continue;
+          trace_bin =
+              faultline::read_file(out_dir + "/" + spec.name + ".trace.bin");
+          if (!trace_bin || crc32(*trace_bin) != rec.trace_crc) continue;
         }
         ScenarioResult& s = result.scenarios[i];
         s.spec = spec;
@@ -324,8 +292,8 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& options) {
         s.app_elapsed_s = rec.app_elapsed_s;
         s.app_iterations = static_cast<int>(rec.app_iterations);
         s.wall_seconds = rec.wall_seconds;
-        s.metrics_csv = std::move(csv);
-        s.trace_bin = std::move(trace_bin);
+        s.metrics_csv = std::move(*csv);
+        s.trace_bin = std::move(trace_bin).value_or(std::string());
         s.trace_records = rec.trace_records;
         restored[i] = 1;
         keep.push_back(rec);
@@ -448,16 +416,16 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& options) {
               .count();
       executed.fetch_add(1, std::memory_order_relaxed);
       if (journal) {
-        // Checkpoint order: outputs first, then the journal record, so a
-        // "done" record always refers to files that already exist. A
-        // crash between the two re-runs the scenario -- safe, just not
-        // free.
+        // Checkpoint order: outputs first (durably: fsync, rename,
+        // directory fsync), then the journal record, so a "done" record
+        // always refers to files that already exist on disk. A crash
+        // between the two re-runs the scenario -- safe, just not free.
         if (slot.status == ScenarioStatus::kDone)
-          write_file_atomic(out_dir + "/" + slot.spec.name + ".csv",
-                            slot.metrics_csv);
+          write_output(out_dir + "/" + slot.spec.name + ".csv",
+                       slot.metrics_csv);
         if (!slot.trace_bin.empty())
-          write_file_atomic(out_dir + "/" + slot.spec.name + ".trace.bin",
-                            slot.trace_bin);
+          write_output(out_dir + "/" + slot.spec.name + ".trace.bin",
+                       slot.trace_bin);
         std::lock_guard<std::mutex> lock(journal_mu);
         journal->append(make_journal_record(slot));
       }
@@ -576,14 +544,14 @@ void write_outputs(const SweepResult& result, const std::string& dir) {
 
   for (const ScenarioResult& s : result.scenarios) {
     if (s.status == ScenarioStatus::kDone)
-      write_file_atomic(dir + "/" + s.spec.name + ".csv", s.metrics_csv);
+      write_output(dir + "/" + s.spec.name + ".csv", s.metrics_csv);
     // Truncated traces of timed-out/cancelled scenarios are still written:
     // they end in kRunCancelled and are the primary debugging artifact for
     // "why did this grid point hang".
     if (s.ran && !s.trace_bin.empty())
-      write_file_atomic(dir + "/" + s.spec.name + ".trace.bin", s.trace_bin);
+      write_output(dir + "/" + s.spec.name + ".trace.bin", s.trace_bin);
   }
-  write_file_atomic(dir + "/summary.json", result.summary_json().dump(2));
+  write_output(dir + "/summary.json", result.summary_json().dump(2));
 }
 
 }  // namespace hpas::runner

@@ -151,10 +151,10 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& options = {});
 /// Writes `<dir>/<scenario>.csv` for every completed scenario (plus
 /// `<dir>/<scenario>.trace.bin` when a trace was captured -- including
 /// truncated traces of timed-out/cancelled scenarios) and
-/// `<dir>/summary.json`; creates `dir` if needed. Each file is written to
-/// a temporary sibling and renamed into place, so a failure mid-sweep
-/// never leaves a partially written output behind. Throws SystemError on
-/// I/O failure.
+/// `<dir>/summary.json`; creates `dir` if needed. Each file is published
+/// atomically (tmp, fsync, rename, directory fsync), so a failure
+/// mid-sweep never leaves a partially written output behind. Throws
+/// SystemError on I/O failure.
 void write_outputs(const SweepResult& result, const std::string& dir);
 
 }  // namespace hpas::runner

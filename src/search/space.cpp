@@ -3,13 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include "anomalies/suite.hpp"
 #include "apps/profiles.hpp"
 #include "common/error.hpp"
+#include "common/hash.hpp"
+#include "faultline/durable.hpp"
 
 namespace hpas::search {
 namespace {
@@ -70,17 +69,6 @@ double canonical_coord(const Dimension& d, double v) {
     return std::clamp(std::round(v), d.lo, d.hi);
   const double last = static_cast<double>(d.values.size()) - 1.0;
   return std::clamp(std::round(v), 0.0, last);
-}
-
-void mix(std::uint64_t& h, std::uint64_t v) {
-  // Same splitmix64 combining step as scenario_key_hash (journal.cpp):
-  // full avalanche per coordinate, so neighbouring points land far apart.
-  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  h ^= h >> 30;
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= h >> 27;
-  h *= 0x94d049bb133111ebULL;
-  h ^= h >> 31;
 }
 
 }  // namespace
@@ -207,12 +195,8 @@ ScenarioSpace ScenarioSpace::from_json(const Json& spec) {
 }
 
 ScenarioSpace ScenarioSpace::load_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw SystemError("cannot read space file: " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
   try {
-    return from_json(Json::parse(text.str()));
+    return from_json(faultline::load_json_file(path));
   } catch (const ConfigError& e) {
     throw ConfigError(path + ": " + e.what());
   }
@@ -336,9 +320,7 @@ std::uint64_t ScenarioSpace::point_hash(const Point& p) const {
     const Dimension& d = dims_[i];
     const double v = canonical_coord(d, p.coords[i]);
     if (d.kind == DimKind::kContinuous) {
-      std::uint64_t bits = 0;
-      std::memcpy(&bits, &v, sizeof(bits));
-      mix(h, bits);
+      mix_double(h, v);
     } else {
       mix(h, static_cast<std::uint64_t>(
                  static_cast<std::int64_t>(std::llround(v))));

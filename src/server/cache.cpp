@@ -1,72 +1,17 @@
 #include "server/cache.hpp"
 
-#include <fcntl.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <optional>
 
 #include "common/crc32.hpp"
 #include "common/error.hpp"
-#include "faultline/faultline.hpp"
+#include "faultline/durable.hpp"
 
 namespace hpas::server {
 namespace {
-
-std::string read_file_bytes(const std::string& path, bool& ok) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
-    ok = false;
-    return {};
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  ok = true;
-  return buf.str();
-}
-
-/// Temp-sibling + fsync + rename: the spool file is either absent or
-/// complete *and durable* before the journal record that names it is
-/// written. Every byte flows through the faultline cache domain so the
-/// torture battery can crash or fail this sequence at any point.
-void write_file_atomically(const std::string& path, const std::string& bytes) {
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-                        0644);
-  if (fd < 0)
-    throw SystemError("server: cannot open " + tmp + ": " +
-                      std::strerror(errno));
-  std::size_t done = 0;
-  while (done < bytes.size()) {
-    const ssize_t w = faultline::write(faultline::Domain::kCache, fd,
-                                       bytes.data() + done,
-                                       bytes.size() - done);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      const std::string err = std::strerror(errno);
-      ::close(fd);
-      throw SystemError("server: write failed on " + tmp + ": " + err);
-    }
-    done += static_cast<std::size_t>(w);
-  }
-  // fsync before rename: without it a crash after the rename could leave
-  // the *final* name pointing at unwritten bytes, which the journal CRC
-  // would only catch on the next restart.
-  if (faultline::fsync(faultline::Domain::kCache, fd) != 0) {
-    const std::string err = std::strerror(errno);
-    ::close(fd);
-    throw SystemError("server: fsync failed on " + tmp + ": " + err);
-  }
-  ::close(fd);
-  if (faultline::rename_file(faultline::Domain::kCache, tmp.c_str(),
-                             path.c_str()) != 0)
-    throw SystemError("server: cannot rename " + tmp + " to " + path + ": " +
-                      std::strerror(errno));
-}
 
 std::string key_hex(std::uint64_t key) {
   char buf[24];
@@ -127,15 +72,16 @@ void ResultCache::open() {
     entry.app_iterations = rec.app_iterations;
     entry.app_elapsed_s = rec.app_elapsed_s;
     if (rec.status == runner::JournalStatus::kDone) {
-      bool ok = false;
-      entry.metrics_csv = read_file_bytes(spool_file(rec.key_hash), ok);
-      if (!ok || crc32(entry.metrics_csv) != rec.csv_crc) {
+      std::optional<std::string> bytes =
+          faultline::read_file(spool_file(rec.key_hash));
+      if (!bytes || crc32(*bytes) != rec.csv_crc) {
         // Missing or damaged spool bytes: drop the record (the scenario
         // re-runs on its next submission) rather than serve bytes that
         // do not match what was journaled.
         ++spool_invalid_;
         continue;
       }
+      entry.metrics_csv = std::move(*bytes);
       entry.csv_crc = rec.csv_crc;
       spool_bytes_ += entry.metrics_csv.size();
       lru_.push_front(rec.key_hash);
@@ -150,9 +96,7 @@ void ResultCache::open() {
   // evicted entries re-run on demand, exactly as post-restart eviction
   // would behave.
   if (spool_cap_bytes_ > 0) evicted_ += enforce_cap(/*keep=*/0);
-  journal_ = std::make_unique<runner::JournalWriter>(journal_path_, true);
-  for (const std::uint64_t key : order_)
-    journal_->append(record_for(entries_.at(key)));
+  rewrite_journal();
 }
 
 const CachedResult* ResultCache::find(std::uint64_t key) {
@@ -221,7 +165,8 @@ const CachedResult& ResultCache::insert(std::uint64_t key,
     entry.csv_crc = crc32(entry.metrics_csv);
     // Spool bytes before the record that names them: a crash between the
     // two leaves an orphan file, never a record without its bytes.
-    write_file_atomically(spool_file(key), entry.metrics_csv);
+    faultline::write_file_atomic(faultline::Domain::kCache, spool_file(key),
+                                 entry.metrics_csv);
   } else {
     entry.status = runner::JournalStatus::kFailed;
     entry.error = result.error;
@@ -252,9 +197,9 @@ ScrubReport ResultCache::scrub() {
     const CachedResult& entry = entries_.at(key);
     if (entry.status != runner::JournalStatus::kDone) continue;
     ++report.scanned;
-    bool ok = false;
-    const std::string bytes = read_file_bytes(spool_file(key), ok);
-    if (ok && crc32(bytes) == entry.csv_crc) continue;
+    const std::optional<std::string> bytes =
+        faultline::read_file(spool_file(key));
+    if (bytes && crc32(*bytes) == entry.csv_crc) continue;
     corrupt.push_back(key);
   }
   if (corrupt.empty()) return report;

@@ -9,8 +9,9 @@
 //   <data_dir>/server.journal    CRC-framed fsync'd record per finished
 //                                scenario (the authoritative index)
 //   <data_dir>/spool/e<16hex>.csv   the scenario's metrics CSV, written
-//                                atomically (tmp + fsync + rename)
-//                                *before* its journal record
+//                                atomically (tmp + fsync + rename +
+//                                directory fsync) *before* its
+//                                journal record
 //   <data_dir>/quarantine/       spool files whose bytes stopped
 //                                matching their journaled CRC, moved
 //                                aside by the scrubber as evidence
@@ -93,7 +94,7 @@ class ResultCache {
   /// scrub(), or eviction. A hit refreshes the entry's LRU position.
   const CachedResult* find(std::uint64_t key);
 
-  /// Stores a terminal result: spool CSV first (atomic tmp+fsync+rename),
+  /// Stores a terminal result: spool CSV first (published atomically),
   /// then the fsync'd journal record, then the in-memory entry -- the
   /// ordering that makes "journaled" imply "servable after SIGKILL".
   /// Only kDone / kFailed scenario statuses are accepted (require()d).

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/le_bytes.hpp"
 
 namespace hpas::trace {
 namespace {
@@ -13,35 +14,14 @@ namespace {
 constexpr char kMagic[8] = {'H', 'P', 'T', 'R', 'A', 'C', 'E', '1'};
 constexpr std::uint32_t kVersion = 1;
 
-// Explicit little-endian field writers: the format must not depend on the
-// host's struct layout or byte order.
-void put_u16(std::string& out, std::uint16_t v) {
-  out.push_back(static_cast<char>(v & 0xff));
-  out.push_back(static_cast<char>((v >> 8) & 0xff));
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void put_f64(std::string& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
 class Reader {
  public:
   explicit Reader(std::istream& in) : in_(in) {}
 
-  std::uint16_t u16() { return static_cast<std::uint16_t>(uint_n(2)); }
-  std::uint32_t u32() { return static_cast<std::uint32_t>(uint_n(4)); }
-  std::uint64_t u64() { return uint_n(8); }
-  double f64() { return std::bit_cast<double>(uint_n(8)); }
+  std::uint16_t u16() { return le<std::uint16_t>(); }
+  std::uint32_t u32() { return le<std::uint32_t>(); }
+  std::uint64_t u64() { return le<std::uint64_t>(); }
+  double f64() { return std::bit_cast<double>(u64()); }
 
   std::string bytes(std::size_t n) {
     std::string out(n, '\0');
@@ -51,13 +31,12 @@ class Reader {
   }
 
  private:
-  std::uint64_t uint_n(int n) {
-    unsigned char raw[8] = {};
-    in_.read(reinterpret_cast<char*>(raw), n);
+  template <typename T>
+  T le() {
+    unsigned char raw[sizeof(T)] = {};
+    in_.read(reinterpret_cast<char*>(raw), sizeof(T));
     check();
-    std::uint64_t v = 0;
-    for (int i = 0; i < n; ++i) v |= std::uint64_t{raw[i]} << (8 * i);
-    return v;
+    return get_le<T>(raw);
   }
 
   void check() {

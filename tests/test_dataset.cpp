@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -19,6 +20,7 @@
 #include "dataset/factory.hpp"
 #include "dataset/shards.hpp"
 #include "dataset/streaming.hpp"
+#include "faultline/faultline.hpp"
 #include "metrics/features.hpp"
 #include "ml/diagnosis.hpp"
 #include "runner/grid.hpp"
@@ -296,6 +298,34 @@ TEST(DatasetWriter, DetectsCorruptionAndTruncation) {
   const fs::path other = dir / hpas::dataset::shard_file_name(0);
   fs::resize_file(other, fs::file_size(other) - 7);
   EXPECT_FALSE(hpas::dataset::verify_dataset(dir.string()).ok);
+  fs::remove_all(dir);
+}
+
+TEST(DatasetWriter, CsvWriteFailureLeavesNeitherCsvNorTmp) {
+  namespace fl = hpas::faultline;
+  const fs::path dir = fresh_dir("csv_enospc");
+  // Four rows per shard at a checkpoint interval of four: every checkpoint
+  // lands during append(), so finish()'s journal-domain writes are the
+  // CSV's (and, had it got that far, the manifest's).
+  DatasetWriter writer(tiny_meta(8, 2), {dir.string(), 4, false});
+  for (std::uint64_t row = 0; row < 8; ++row) {
+    const auto f = row_features(row);
+    writer.append(row, 0, f);
+  }
+  fl::FaultSchedule schedule;
+  schedule.rules.push_back({.domain = fl::Domain::kJournal,
+                            .op = fl::Op::kWrite,
+                            .kind = fl::FaultKind::kErrno,
+                            .err = ENOSPC,
+                            .every = 1});
+  fl::arm(schedule);
+  EXPECT_THROW(writer.finish(/*write_csv=*/true), hpas::SystemError);
+  const std::uint64_t injected = fl::stats().injected;
+  fl::disarm();
+  EXPECT_EQ(injected, 1u);
+  EXPECT_FALSE(fs::exists(dir / "dataset.csv"));
+  EXPECT_FALSE(fs::exists(dir / "dataset.csv.tmp"));
+  EXPECT_FALSE(fs::exists(dir / "manifest.json"));
   fs::remove_all(dir);
 }
 

@@ -184,10 +184,23 @@ TEST_F(FaultlineTest, InjectedFsyncFailureSurfaces) {
                             .op = fl::Op::kFsync,
                             .kind = fl::FaultKind::kErrno,
                             .err = EIO,
-                            .at = 1});  // header fsync is #0
+                            .at = 2});  // header #0, its directory #1
   fl::arm(schedule);
   JournalWriter writer(path("eio.journal"), true);
   EXPECT_THROW(writer.append(record(1, "doomed")), hpas::SystemError);
+}
+
+TEST_F(FaultlineTest, HeaderFsyncFailureSurfaces) {
+  fl::FaultSchedule schedule;
+  schedule.rules.push_back({.domain = fl::Domain::kJournal,
+                            .op = fl::Op::kFsync,
+                            .kind = fl::FaultKind::kErrno,
+                            .err = EIO,
+                            .at = 0});  // the new header's fsync
+  fl::arm(schedule);
+  EXPECT_THROW({ JournalWriter writer(path("header-eio.journal"), true); },
+               hpas::SystemError);
+  EXPECT_EQ(fl::stats().injected, 1u);
 }
 
 TEST_F(FaultlineTest, EintrStormIsBoundedByCountAndTheWriteSucceeds) {
@@ -260,8 +273,9 @@ TEST_F(FaultlineTest, CrashPointsCountTwoPerWriteOnePerFsync) {
     JournalWriter writer(path("count.journal"), true);
     writer.append(record(1, "counted"));
   }
-  // Header: write + fsync = 3 points; one record: write + fsync = 3.
-  EXPECT_EQ(fl::crash_points_passed(), 6u);
+  // Header: write + fsync + directory fsync = 4 points; one record:
+  // write + fsync = 3.
+  EXPECT_EQ(fl::crash_points_passed(), 7u);
 }
 
 TEST_F(FaultlineTest, CrashDomainsMaskExcludesOtherEdges) {

@@ -1,7 +1,8 @@
 // The crash-consistency torture battery and server-hardening tests.
 //
 // The centerpiece enumerates EVERY crash point in the journal/cache write
-// sequence (two per write, one per fsync/rename), forks a child that runs
+// sequence (two per write, one per fsync/rename, directory fsyncs
+// included), forks a child that runs
 // the same campaign and dies at exactly that point, restarts the server
 // on the surviving bytes, and asserts the result frames are byte-identical
 // to an uncrashed reference -- with zero re-execution for entries whose
@@ -155,9 +156,10 @@ TEST_F(ChaosTest, ExhaustiveCrashPointBatteryRestartsByteIdentically) {
   (void)run_campaign((base_ / "probe").string(), specs);
   const std::uint64_t points = fl::crash_points_passed();
   fl::disarm();
-  // Journal header (write + fsync = 3) plus, per scenario, the spool
-  // write/fsync/rename and the journal record write/fsync (7 each).
-  ASSERT_EQ(points, 17u);
+  // Journal header (write + fsync + directory fsync = 4) plus, per
+  // scenario, the spool write/fsync/rename/directory fsync (5) and the
+  // journal record write/fsync (3): 8 each.
+  ASSERT_EQ(points, 20u);
 
   for (std::uint64_t k = 0; k < points; ++k) {
     const std::string dir = (base_ / ("crash" + std::to_string(k))).string();
