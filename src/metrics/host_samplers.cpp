@@ -18,7 +18,7 @@ double find_sample(const std::vector<Sample>& set, const std::string& metric) {
 
 ProcStatSampler::ProcStatSampler(std::string path) : path_(std::move(path)) {}
 
-std::vector<Sample> ProcStatSampler::sample() {
+const std::vector<Sample>& ProcStatSampler::sample() {
   std::ifstream in(path_);
   if (!in) throw SystemError("cannot open " + path_);
   std::string line;
@@ -29,21 +29,22 @@ std::vector<Sample> ProcStatSampler::sample() {
     if (tag != "cpu") continue;  // aggregate line only
     double user = 0, nice = 0, sys = 0, idle = 0, iowait = 0;
     ls >> user >> nice >> sys >> idle >> iowait;
-    return {
+    samples_ = {
         {{"user", name()}, user},  {{"nice", name()}, nice},
         {{"sys", name()}, sys},    {{"idle", name()}, idle},
         {{"iowait", name()}, iowait},
     };
+    return samples_;
   }
   throw SystemError("no aggregate cpu line in " + path_);
 }
 
 MemInfoSampler::MemInfoSampler(std::string path) : path_(std::move(path)) {}
 
-std::vector<Sample> MemInfoSampler::sample() {
+const std::vector<Sample>& MemInfoSampler::sample() {
   std::ifstream in(path_);
   if (!in) throw SystemError("cannot open " + path_);
-  std::vector<Sample> out;
+  samples_.clear();
   std::string line;
   while (std::getline(in, line)) {
     std::istringstream ls(line);
@@ -51,21 +52,21 @@ std::vector<Sample> MemInfoSampler::sample() {
     double kb = 0;
     ls >> key >> kb;
     if (!key.empty() && key.back() == ':') key.pop_back();
-    if (key == "MemTotal") out.push_back({{"MemTotal", name()}, kb});
-    if (key == "MemFree") out.push_back({{"Memfree", name()}, kb});
-    if (key == "Cached") out.push_back({{"Cached", name()}, kb});
-    if (key == "Active") out.push_back({{"Active", name()}, kb});
+    if (key == "MemTotal") samples_.push_back({{"MemTotal", name()}, kb});
+    if (key == "MemFree") samples_.push_back({{"Memfree", name()}, kb});
+    if (key == "Cached") samples_.push_back({{"Cached", name()}, kb});
+    if (key == "Active") samples_.push_back({{"Active", name()}, kb});
   }
-  require(!out.empty(), "no recognized fields in " + path_);
-  return out;
+  require(!samples_.empty(), "no recognized fields in " + path_);
+  return samples_;
 }
 
 VmStatSampler::VmStatSampler(std::string path) : path_(std::move(path)) {}
 
-std::vector<Sample> VmStatSampler::sample() {
+const std::vector<Sample>& VmStatSampler::sample() {
   std::ifstream in(path_);
   if (!in) throw SystemError("cannot open " + path_);
-  std::vector<Sample> out;
+  samples_.clear();
   std::string line;
   while (std::getline(in, line)) {
     std::istringstream ls(line);
@@ -74,10 +75,10 @@ std::vector<Sample> VmStatSampler::sample() {
     ls >> key >> value;
     if (key == "pgfault" || key == "pgmajfault" || key == "pgpgin" ||
         key == "pgpgout") {
-      out.push_back({{key, name()}, value});
+      samples_.push_back({{key, name()}, value});
     }
   }
-  return out;
+  return samples_;
 }
 
 double cpu_utilization_between(const std::vector<Sample>& before,

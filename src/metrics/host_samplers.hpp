@@ -20,10 +20,11 @@ class ProcStatSampler final : public Sampler {
   explicit ProcStatSampler(std::string path = "/proc/stat");
 
   std::string name() const override { return "procstat"; }
-  std::vector<Sample> sample() override;
+  const std::vector<Sample>& sample() override;
 
  private:
   std::string path_;
+  std::vector<Sample> samples_;
 };
 
 /// Reads /proc/meminfo. Metrics: MemTotal, Memfree, Cached, Active (kB).
@@ -34,10 +35,11 @@ class MemInfoSampler final : public Sampler {
   explicit MemInfoSampler(std::string path = "/proc/meminfo");
 
   std::string name() const override { return "meminfo"; }
-  std::vector<Sample> sample() override;
+  const std::vector<Sample>& sample() override;
 
  private:
   std::string path_;
+  std::vector<Sample> samples_;
 };
 
 /// Reads /proc/vmstat. Metrics: pgfault, pgmajfault, pgpgin, pgpgout
@@ -47,10 +49,11 @@ class VmStatSampler final : public Sampler {
   explicit VmStatSampler(std::string path = "/proc/vmstat");
 
   std::string name() const override { return "vmstat"; }
-  std::vector<Sample> sample() override;
+  const std::vector<Sample>& sample() override;
 
  private:
   std::string path_;
+  std::vector<Sample> samples_;
 };
 
 /// Utility: total CPU utilization fraction [0,1] between two procstat

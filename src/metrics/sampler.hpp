@@ -28,7 +28,14 @@ class Sampler {
   /// Polls current values. Counter-style metrics report cumulative values
   /// (monotone); gauge-style metrics report instantaneous values, matching
   /// /proc semantics.
-  virtual std::vector<Sample> sample() = 0;
+  ///
+  /// Returns a view of a buffer the sampler owns, so a sampler with a
+  /// fixed metric set can poll without allocating. The view (and every
+  /// `id` in it) stays valid until the next sample() call or the
+  /// sampler's destruction; a caller that keeps a sample set copies it
+  /// (`const auto before = sampler.sample();`). The metric set may differ
+  /// from poll to poll.
+  virtual const std::vector<Sample>& sample() = 0;
 };
 
 }  // namespace hpas::metrics

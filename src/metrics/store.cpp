@@ -7,7 +7,7 @@
 namespace hpas::metrics {
 
 void MetricStore::record(const MetricId& id, double timestamp, double value) {
-  series_[id].append(timestamp, value);
+  series_for(id).append(timestamp, value);
 }
 
 bool MetricStore::contains(const MetricId& id) const {
@@ -27,7 +27,5 @@ std::vector<MetricId> MetricStore::metric_ids() const {
   std::sort(ids.begin(), ids.end());
   return ids;
 }
-
-void MetricStore::clear() { series_.clear(); }
 
 }  // namespace hpas::metrics

@@ -11,10 +11,15 @@
 namespace hpas::metrics {
 
 /// All time series collected for one entity (one node, one run).
-/// Metric ids are created lazily on first append.
+/// Metric ids are created lazily on first append. Series are never
+/// removed, so a reference from series_for() stays valid for the store's
+/// lifetime.
 class MetricStore {
  public:
   void record(const MetricId& id, double timestamp, double value);
+
+  /// The series of `id`, created empty if absent.
+  TimeSeries& series_for(const MetricId& id) { return series_[id]; }
 
   bool contains(const MetricId& id) const;
   const TimeSeries& series(const MetricId& id) const;  ///< throws if absent
@@ -23,7 +28,6 @@ class MetricStore {
   std::vector<MetricId> metric_ids() const;
 
   std::size_t metric_count() const { return series_.size(); }
-  void clear();
 
  private:
   std::unordered_map<MetricId, TimeSeries> series_;

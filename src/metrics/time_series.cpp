@@ -41,9 +41,4 @@ std::vector<double> TimeSeries::deltas() const {
   return out;
 }
 
-void TimeSeries::clear() {
-  timestamps_.clear();
-  values_.clear();
-}
-
 }  // namespace hpas::metrics

@@ -29,8 +29,6 @@ class TimeSeries {
   /// (e.g. NIC flit counts) into per-interval rates. Empty for size < 2.
   std::vector<double> deltas() const;
 
-  void clear();
-
  private:
   std::vector<double> timestamps_;
   std::vector<double> values_;

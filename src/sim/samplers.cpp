@@ -1,5 +1,7 @@
 #include "sim/samplers.hpp"
 
+#include <cassert>
+#include <initializer_list>
 #include <memory>
 
 #include "sim/world.hpp"
@@ -14,99 +16,97 @@ using metrics::Sampler;
 // centiseconds (USER_HZ = 100) to stay unit-faithful.
 constexpr double kJiffiesPerSecond = 100.0;
 
-class SimProcStat final : public Sampler {
+// Base of the node samplers. The metric ids are built once, here, so a
+// poll only writes values into the owned buffer: no string is built and
+// nothing is allocated per sample.
+class SimSampler : public Sampler {
  public:
-  SimProcStat(World& world, int node) : world_(world), node_(node) {}
-  std::string name() const override { return "procstat"; }
-  std::vector<Sample> sample() override {
-    const Node& n = world_.node(node_);
+  SimSampler(World& world, int node, std::string name,
+             std::initializer_list<const char*> metrics)
+      : world_(world), node_(node), name_(std::move(name)) {
+    for (const char* metric : metrics)
+      samples_.push_back({{metric, name_}, 0.0});
+  }
+  std::string name() const final { return name_; }
+
+ protected:
+  const Node& node() const { return world_.node(node_); }
+  double now() const { return world_.now(); }
+
+  /// Writes one value per metric, in constructor order.
+  const std::vector<Sample>& fill(std::initializer_list<double> values) {
+    assert(values.size() == samples_.size());
+    Sample* out = samples_.data();
+    for (const double v : values) (out++)->value = v;
+    return samples_;
+  }
+
+ private:
+  World& world_;
+  int node_;
+  std::string name_;
+  std::vector<Sample> samples_;
+};
+
+class SimProcStat final : public SimSampler {
+ public:
+  SimProcStat(World& world, int node)
+      : SimSampler(world, node, "procstat", {"user", "sys", "idle"}) {}
+  const std::vector<Sample>& sample() override {
+    const Node& n = node();
     const double cores = n.config().cores;
     const double user = n.counters().cpu_user_seconds * kJiffiesPerSecond;
     const double sys = n.counters().cpu_sys_seconds * kJiffiesPerSecond;
-    const double total = world_.now() * cores * kJiffiesPerSecond;
-    return {
-        {{"user", name()}, user},
-        {{"sys", name()}, sys},
-        {{"idle", name()}, std::max(0.0, total - user - sys)},
-    };
+    const double total = now() * cores * kJiffiesPerSecond;
+    return fill({user, sys, std::max(0.0, total - user - sys)});
   }
-
- private:
-  World& world_;
-  int node_;
 };
 
-class SimMemInfo final : public Sampler {
+class SimMemInfo final : public SimSampler {
  public:
-  SimMemInfo(World& world, int node) : world_(world), node_(node) {}
-  std::string name() const override { return "meminfo"; }
-  std::vector<Sample> sample() override {
-    const Node& n = world_.node(node_);
+  SimMemInfo(World& world, int node)
+      : SimSampler(world, node, "meminfo", {"MemTotal", "Memfree"}) {}
+  const std::vector<Sample>& sample() override {
+    const Node& n = node();
     // /proc/meminfo reports kB.
-    return {
-        {{"MemTotal", name()}, n.config().memory_bytes / 1024.0},
-        {{"Memfree", name()}, n.memory_free() / 1024.0},
-    };
+    return fill({n.config().memory_bytes / 1024.0, n.memory_free() / 1024.0});
   }
-
- private:
-  World& world_;
-  int node_;
 };
 
-class SimVmStat final : public Sampler {
+class SimVmStat final : public SimSampler {
  public:
-  SimVmStat(World& world, int node) : world_(world), node_(node) {}
-  std::string name() const override { return "vmstat"; }
-  std::vector<Sample> sample() override {
-    const Node& n = world_.node(node_);
-    return {{{"pgfault", name()}, n.counters().pages_faulted}};
+  SimVmStat(World& world, int node)
+      : SimSampler(world, node, "vmstat", {"pgfault"}) {}
+  const std::vector<Sample>& sample() override {
+    return fill({node().counters().pages_faulted});
   }
-
- private:
-  World& world_;
-  int node_;
 };
 
-class SimSpapi final : public Sampler {
+class SimSpapi final : public SimSampler {
  public:
-  SimSpapi(World& world, int node) : world_(world), node_(node) {}
-  std::string name() const override { return "spapiHASW"; }
-  std::vector<Sample> sample() override {
-    const NodeCounters& c = world_.node(node_).counters();
-    return {
-        {{"INST_RETIRED:ANY", name()}, c.instructions},
-        {{"L1D:REPLACEMENT", name()}, c.l1_misses},
-        {{"L2_RQSTS:MISS", name()}, c.l2_misses},
-        {{"LLC_MISSES", name()}, c.l3_misses},
-        {{"DRAM_BYTES", name()}, c.dram_bytes},
-    };
+  SimSpapi(World& world, int node)
+      : SimSampler(world, node, "spapiHASW",
+                   {"INST_RETIRED:ANY", "L1D:REPLACEMENT", "L2_RQSTS:MISS",
+                    "LLC_MISSES", "DRAM_BYTES"}) {}
+  const std::vector<Sample>& sample() override {
+    const NodeCounters& c = node().counters();
+    return fill({c.instructions, c.l1_misses, c.l2_misses, c.l3_misses,
+                 c.dram_bytes});
   }
-
- private:
-  World& world_;
-  int node_;
 };
 
-class SimAriesNic final : public Sampler {
+class SimAriesNic final : public SimSampler {
  public:
-  SimAriesNic(World& world, int node) : world_(world), node_(node) {}
-  std::string name() const override { return "aries_nic_mmr"; }
-  std::vector<Sample> sample() override {
-    const NodeCounters& c = world_.node(node_).counters();
+  SimAriesNic(World& world, int node)
+      : SimSampler(world, node, "aries_nic_mmr",
+                   {"AR_NIC_NETMON_ORB_EVENT_CNTR_REQ_FLITS",
+                    "AR_NIC_NETMON_ORB_EVENT_CNTR_RSP_FLITS"}) {}
+  const std::vector<Sample>& sample() override {
+    const NodeCounters& c = node().counters();
     // Aries flits carry 32 bytes of payload; the ORB request counter
     // tracks outbound traffic.
-    return {
-        {{"AR_NIC_NETMON_ORB_EVENT_CNTR_REQ_FLITS", name()},
-         c.nic_tx_bytes / 32.0},
-        {{"AR_NIC_NETMON_ORB_EVENT_CNTR_RSP_FLITS", name()},
-         c.nic_rx_bytes / 32.0},
-    };
+    return fill({c.nic_tx_bytes / 32.0, c.nic_rx_bytes / 32.0});
   }
-
- private:
-  World& world_;
-  int node_;
 };
 
 }  // namespace

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <random>
+
 #include "common/error.hpp"
 
 namespace hpas {
@@ -93,6 +96,57 @@ TEST(JsonDump, PrettyPrintIsStable) {
 
 TEST(JsonDump, EscapesControlCharacters) {
   EXPECT_EQ(Json(std::string("a\tb\x01 c")).dump(), R"("a\tb\u0001 c")");
+}
+
+// Reference escaper, one character at a time: dump(), which copies runs
+// of safe bytes in bulk, must agree with it byte for byte.
+std::string reference_escape(const std::string& s) {
+  std::string out = "\"";
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  out += '"';
+  return out;
+}
+
+TEST(JsonDump, EscapingMatchesPerCharReference) {
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    const std::string alone(1, c);
+    const std::string framed{'a', c, c, 'z'};
+    EXPECT_EQ(Json(alone).dump(), reference_escape(alone)) << "byte " << b;
+    EXPECT_EQ(Json(framed).dump(), reference_escape(framed)) << "byte " << b;
+  }
+  std::mt19937_64 rng(16);
+  for (int n = 0; n < 2000; ++n) {
+    std::string s(rng() % 80, '\0');
+    // One byte in four is drawn from the escaped range (< 0x24 covers the
+    // control characters and '"'); the rest are arbitrary.
+    for (char& c : s)
+      c = static_cast<char>(rng() % 4 == 0 ? rng() % 0x24 : rng() % 256);
+    if (n % 7 == 0) s += '\\';
+    EXPECT_EQ(Json(s).dump(), reference_escape(s));
+    Json object = Json::object();
+    object.set(s, 1);  // keys take the same path
+    EXPECT_EQ(object.dump(), "{" + reference_escape(s) + ":1}");
+  }
 }
 
 TEST(JsonAccessors, ThrowOnTypeMismatch) {

@@ -193,6 +193,25 @@ TEST(World, MonitoringCoversAllSamplers) {
       {"AR_NIC_NETMON_ORB_EVENT_CNTR_REQ_FLITS", "aries_nic_mmr"}));
 }
 
+TEST(World, SimSamplerBuffersKeepTheirAddresses) {
+  // Each node sampler owns its buffer and rewrites only the values, so
+  // the ids a sink is handed sit at the same addresses on every poll.
+  struct AddressSink final : metrics::SampleSink {
+    void on_sample(const metrics::MetricId& id, double, double) override {
+      seen.push_back(&id);
+    }
+    std::vector<const metrics::MetricId*> seen;
+  };
+  World world = make_small_world();
+  AddressSink sink;
+  world.enable_monitoring(1.0, &sink, 1, /*store_samples=*/false);
+  world.run_until(4.5);
+  constexpr std::size_t kPerPoll = 13;  // 3 + 2 + 1 + 5 + 2 metrics
+  ASSERT_EQ(sink.seen.size(), 5 * kPerPoll);  // polls at t = 0..4
+  for (std::size_t i = kPerPoll; i < sink.seen.size(); ++i)
+    EXPECT_EQ(sink.seen[i], sink.seen[i - kPerPoll]) << "sample " << i;
+}
+
 TEST(World, NicCountersTrackMessageBytes) {
   World world = make_small_world();
   world.spawn_task("sender", 0, 0, TaskProfile{}, Phase::message(1, 5e9),
