@@ -12,6 +12,7 @@
 //      heavy noise, confirming the paper's hypothesis.
 #include <cstdio>
 
+#include "dataset/factory.hpp"
 #include "ml/diagnosis.hpp"
 
 namespace {
@@ -21,7 +22,8 @@ void run_row(double noise, bool bandwidth_metrics) {
   options.variants_per_app = 3;  // 144 samples: keep the sweep quick
   options.measurement_noise = noise;
   options.include_bandwidth_metrics = bandwidth_metrics;
-  const auto data = hpas::ml::generate_diagnosis_dataset(options);
+  const auto data = hpas::dataset::build_dataset(
+      hpas::dataset::plan_from_diagnosis(options), /*threads=*/0);
   const auto results = hpas::ml::evaluate_classifiers(data, 3);
   const auto& rf = results.back();  // RandomForest
   std::printf("%7.2f %10s %9.2f  ", noise, bandwidth_metrics ? "yes" : "no",

@@ -16,9 +16,9 @@
 #include <numeric>
 
 #include "common/stopwatch.hpp"
+#include "dataset/factory.hpp"
 #include "ml/diagnosis.hpp"
 #include "ml/random_forest.hpp"
-#include "runner/diagnosis_sweep.hpp"
 #include "runner/thread_pool.hpp"
 
 int main() {
@@ -26,24 +26,23 @@ int main() {
   std::printf("generating dataset (simulated runs, parallel sweep)...\n");
 
   // The training sweep (classes x apps x variants = 240 simulated runs)
-  // goes through the experiment runner's thread pool; 1-thread and
-  // N-thread generation must agree feature-for-feature (the runner's
-  // determinism contract) and their wall-clock ratio is the recorded
-  // batching speedup.
-  hpas::ml::DiagnosisDataOptions options;
+  // goes through the dataset factory's in-memory output on the runner's
+  // thread pool; 1-thread and N-thread generation must agree
+  // feature-for-feature (the factory's determinism contract) and their
+  // wall-clock ratio is the recorded batching speedup.
+  const hpas::dataset::DatasetPlan plan =
+      hpas::dataset::plan_from_diagnosis(hpas::ml::DiagnosisDataOptions{});
   // At least 4 workers even on small machines so the parallel run really
   // reorders task completion (the determinism check is vacuous at 1).
   const int hw_threads =
       std::max(4, hpas::runner::WorkStealingPool::default_thread_count());
 
   hpas::Stopwatch serial_watch;
-  const auto serial_data =
-      hpas::runner::generate_diagnosis_dataset_parallel(options, 1);
+  const auto serial_data = hpas::dataset::build_dataset(plan, 1);
   const double serial_s = serial_watch.elapsed_seconds();
 
   hpas::Stopwatch parallel_watch;
-  const auto data =
-      hpas::runner::generate_diagnosis_dataset_parallel(options, hw_threads);
+  const auto data = hpas::dataset::build_dataset(plan, hw_threads);
   const double parallel_s = parallel_watch.elapsed_seconds();
 
   const bool identical = serial_data.values() == data.values() &&

@@ -6,6 +6,7 @@
 // statistical features -> RandomForest -> diagnose a fresh run.
 #include <cstdio>
 
+#include "dataset/factory.hpp"
 #include "ml/diagnosis.hpp"
 #include "ml/random_forest.hpp"
 
@@ -19,7 +20,8 @@ int main() {
   std::printf("generating labeled runs (%d classes x 8 apps x %d)...\n",
               static_cast<int>(options.classes.size()),
               options.variants_per_app);
-  const auto data = hpas::ml::generate_diagnosis_dataset(options);
+  const auto data = hpas::dataset::build_dataset(
+      hpas::dataset::plan_from_diagnosis(options), /*threads=*/0);
   std::printf("dataset: %zu samples, %zu features\n", data.size(),
               data.num_features());
 
@@ -34,11 +36,12 @@ int main() {
   forest.fit(data);
 
   // "Production": new runs arrive without labels; diagnose them.
-  // We reuse the generator with a different seed as the unlabeled stream.
+  // We reuse the factory with a different seed as the unlabeled stream.
   hpas::ml::DiagnosisDataOptions unseen = options;
   unseen.seed = 0xBEEF;
   unseen.variants_per_app = 1;
-  const auto fresh = hpas::ml::generate_diagnosis_dataset(unseen);
+  const auto fresh = hpas::dataset::build_dataset(
+      hpas::dataset::plan_from_diagnosis(unseen), /*threads=*/0);
   int correct = 0;
   for (std::size_t i = 0; i < fresh.size(); ++i) {
     const int predicted = forest.predict(fresh.row(i));

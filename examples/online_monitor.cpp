@@ -10,6 +10,7 @@
 
 #include "apps/bsp_app.hpp"
 #include "apps/profiles.hpp"
+#include "dataset/factory.hpp"
 #include "ml/diagnosis.hpp"
 #include "sim/cluster.hpp"
 #include "simanom/injectors.hpp"
@@ -22,7 +23,8 @@ int main() {
   training.variants_per_app = 2;
   training.measurement_noise = 0.0;  // match the online extraction
   const hpas::ml::OnlineDiagnoser diagnoser(
-      hpas::ml::generate_diagnosis_dataset(training),
+      hpas::dataset::build_dataset(
+          hpas::dataset::plan_from_diagnosis(training), /*threads=*/0),
       {.window_s = 45.0, .hop_s = 30.0, .include_bandwidth_metrics = false});
 
   // ---- "production": an app runs; trouble arrives at t=120s. ---------

@@ -861,8 +861,8 @@ int run_dataset_command(const std::vector<std::string>& argv) {
       if (rows == 0)
         throw hpas::ConfigError(
             "hpas dataset: --rows is required for a scenario space");
-      plan = hpas::dataset::plan_from_space(space, rows, warmup_s, noise,
-                                            /*include_bandwidth=*/false);
+      plan = hpas::search::plan_from_space(space, rows, warmup_s, noise,
+                                           /*include_bandwidth=*/false);
     } else {
       auto grid = hpas::runner::expand_grid(doc);
       if (args.has("seed")) {

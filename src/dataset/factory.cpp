@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <optional>
 #include <utility>
 
 #include "common/error.hpp"
@@ -10,7 +11,6 @@
 #include "runner/journal.hpp"
 #include "runner/runner.hpp"
 #include "runner/thread_pool.hpp"
-#include "search/space.hpp"
 #include "sim/world.hpp"
 
 namespace hpas::dataset {
@@ -19,22 +19,6 @@ namespace {
 constexpr std::uint64_t kPlanSeed = 0x4450534554504c4eULL;  // "DPSETPLN"
 constexpr std::uint64_t kRowSeed = 0x44535452ULL;           // "DSTR"
 constexpr std::uint64_t kNoiseStream = 0x4e6f697365ULL;     // "Noise"
-
-/// Class label from an anomaly name, growing the label map in
-/// first-appearance order (deterministic: plans are built serially).
-int label_of(std::vector<std::string>& class_names,
-             const std::string& anomaly) {
-  for (std::size_t i = 0; i < class_names.size(); ++i)
-    if (class_names[i] == anomaly) return static_cast<int>(i);
-  class_names.push_back(anomaly);
-  return static_cast<int>(class_names.size() - 1);
-}
-
-std::vector<std::string> feature_names_for(bool include_bandwidth) {
-  ml::DiagnosisDataOptions opts;
-  opts.include_bandwidth_metrics = include_bandwidth;
-  return ml::diagnosis_feature_names(opts);
-}
 
 StreamingExtractorConfig extractor_config(bool include_bandwidth,
                                           double window_t0, double window_t1,
@@ -48,6 +32,51 @@ StreamingExtractorConfig extractor_config(bool include_bandwidth,
   cfg.window_t1 = window_t1;
   cfg.noise = noise;
   return cfg;
+}
+
+/// One executed row: its features and its extractor's accounting.
+struct RowFeatures {
+  std::vector<double> features;
+  std::size_t peak_buffered_values = 0;
+  std::uint64_t samples_seen = 0;
+};
+
+/// Simulates plan row `i` with a streaming extractor observing node 0 and
+/// returns its feature vector -- a pure function of (plan, i). Only the
+/// world setup and the noise stream depend on the row kind. Returns
+/// nullopt when `hard` cancels the row mid-simulation (its partial window
+/// is never used).
+std::optional<RowFeatures> compute_row(const DatasetPlan& plan, std::size_t i,
+                                       const CancelToken* hard) {
+  const DatasetRowSpec& row = plan.rows[i];
+  const bool diagnosis = row.kind == DatasetRowSpec::Kind::kDiagnosis;
+  const double duration =
+      diagnosis ? plan.diag_options.run_duration_s : row.spec.duration_s;
+  StreamingFeatureExtractor extractor(extractor_config(
+      plan.include_bandwidth, plan.warmup_s, duration + 0.5, plan.noise));
+  Rng noise_rng =
+      diagnosis ? row.diag.noise_rng
+                : Rng(runner::derive_scenario_seed(row.key_hash, kNoiseStream));
+  if (diagnosis) {
+    ml::DiagnosisScenario scenario = ml::begin_diagnosis_scenario(
+        row.diag, plan.diag_options, &extractor, /*store_samples=*/false);
+    scenario.world->set_cancel_token(hard);
+    try {
+      scenario.world->run_until(duration);
+    } catch (const CancelledError&) {
+      return std::nullopt;
+    }
+  } else {
+    const runner::ScenarioResult run = runner::run_scenario(
+        row.spec, /*capture_trace=*/false, hard, {}, &extractor,
+        /*store_samples=*/false);
+    if (run.status != runner::ScenarioStatus::kDone) return std::nullopt;
+  }
+  RowFeatures out;
+  out.features = extractor.finalize(&noise_rng);
+  out.peak_buffered_values = extractor.peak_buffered_values();
+  out.samples_seen = extractor.samples_seen();
+  return out;
 }
 
 }  // namespace
@@ -81,15 +110,48 @@ DatasetMeta DatasetPlan::meta(std::uint32_t shards) const {
   return meta;
 }
 
-DatasetPlan plan_from_diagnosis(const ml::DiagnosisDataOptions& options) {
+int DatasetPlan::label_of(const std::string& anomaly) {
+  for (std::size_t i = 0; i < class_names.size(); ++i)
+    if (class_names[i] == anomaly) return static_cast<int>(i);
+  class_names.push_back(anomaly);
+  return static_cast<int>(class_names.size() - 1);
+}
+
+void DatasetPlan::add_scenario_row(const runner::ScenarioSpec& spec) {
+  if (spec.duration_s + 0.5 <= warmup_s)
+    throw ConfigError("dataset plan: scenario '" + spec.name +
+                      "' is shorter than the feature warmup window");
+  const std::uint64_t r = rows.size();
+  DatasetRowSpec& row = rows.emplace_back();
+  row.kind = DatasetRowSpec::Kind::kGrid;
+  row.spec = spec;
+  row.spec.name += "#" + std::to_string(r);
+  row.label = label_of(row.spec.anomaly);
+  std::uint64_t h = kRowSeed;
+  mix(h, r);
+  mix(h, runner::scenario_key_hash(row.spec));
+  row.key_hash = h;
+}
+
+DatasetPlan make_plan(std::string name, double warmup_s, double noise,
+                      bool include_bandwidth) {
+  ml::DiagnosisDataOptions features;
+  features.include_bandwidth_metrics = include_bandwidth;
   DatasetPlan plan;
-  plan.name = "diagnosis";
+  plan.name = std::move(name);
+  plan.feature_names = ml::diagnosis_feature_names(features);
+  plan.warmup_s = warmup_s;
+  plan.noise = noise;
+  plan.include_bandwidth = include_bandwidth;
+  return plan;
+}
+
+DatasetPlan plan_from_diagnosis(const ml::DiagnosisDataOptions& options) {
+  DatasetPlan plan =
+      make_plan("diagnosis", options.warmup_s, options.measurement_noise,
+                options.include_bandwidth_metrics);
   plan.class_names = options.classes;
-  plan.feature_names = ml::diagnosis_feature_names(options);
   plan.diag_options = options;
-  plan.warmup_s = options.warmup_s;
-  plan.noise = options.measurement_noise;
-  plan.include_bandwidth = options.include_bandwidth_metrics;
   std::uint64_t index = 0;
   for (ml::DiagnosisRunPlan& run : ml::plan_diagnosis_runs(options)) {
     DatasetRowSpec row;
@@ -115,70 +177,20 @@ DatasetPlan plan_from_grid(const runner::SweepGrid& grid, std::uint64_t rows,
                            bool include_bandwidth) {
   require(!grid.scenarios.empty(), "plan_from_grid: empty grid");
   if (rows == 0) rows = grid.scenarios.size();
-  DatasetPlan plan;
-  plan.name = grid.name;
-  plan.feature_names = feature_names_for(include_bandwidth);
-  plan.warmup_s = warmup_s;
-  plan.noise = noise;
-  plan.include_bandwidth = include_bandwidth;
+  DatasetPlan plan = make_plan(grid.name, warmup_s, noise, include_bandwidth);
   // The label map covers the whole grid up front, so the class list does
   // not depend on how many rows the cycle was cut to.
   for (const runner::ScenarioSpec& spec : grid.scenarios)
-    label_of(plan.class_names, spec.anomaly);
+    plan.label_of(spec.anomaly);
   plan.rows.reserve(rows);
+  // Assigned per row, not constructed: reusing its buffers keeps copying a
+  // scenario in allocation-free (planning is on the `hpas dataset` path).
+  runner::ScenarioSpec spec;
   for (std::uint64_t r = 0; r < rows; ++r) {
-    DatasetRowSpec row;
-    row.kind = DatasetRowSpec::Kind::kGrid;
-    row.spec = grid.scenarios[r % grid.scenarios.size()];
-    if (row.spec.duration_s + 0.5 <= warmup_s)
-      throw ConfigError("plan_from_grid: scenario '" + row.spec.name +
-                        "' is shorter than the feature warmup window");
+    spec = grid.scenarios[r % grid.scenarios.size()];
     // Fresh stream per row: cycling the grid oversamples with new draws.
-    row.spec.seed = runner::derive_scenario_seed(grid.base_seed, r);
-    row.spec.name += "#" + std::to_string(r);
-    row.label = label_of(plan.class_names, row.spec.anomaly);
-    std::uint64_t h = kRowSeed;
-    mix(h, r);
-    mix(h, runner::scenario_key_hash(row.spec));
-    row.key_hash = h;
-    plan.rows.push_back(std::move(row));
-  }
-  return plan;
-}
-
-DatasetPlan plan_from_space(const search::ScenarioSpace& space,
-                            std::uint64_t rows, double warmup_s, double noise,
-                            bool include_bandwidth) {
-  require(rows > 0, "plan_from_space: need at least one row");
-  DatasetPlan plan;
-  plan.name = space.name();
-  plan.feature_names = feature_names_for(include_bandwidth);
-  plan.warmup_s = warmup_s;
-  plan.noise = noise;
-  plan.include_bandwidth = include_bandwidth;
-  // The anomaly axis (when present) fixes the label map up front; sampled
-  // rows can only draw from it, so the class list is row-count-invariant.
-  label_of(plan.class_names, space.base().anomaly);
-  for (const search::Dimension& dim : space.dimensions()) {
-    if (dim.field == "anomaly")
-      for (const std::string& v : dim.values) label_of(plan.class_names, v);
-  }
-  Rng rng(space.base_seed());
-  plan.rows.reserve(rows);
-  for (std::uint64_t r = 0; r < rows; ++r) {
-    DatasetRowSpec row;
-    row.kind = DatasetRowSpec::Kind::kGrid;
-    row.spec = space.materialize(space.sample(rng));
-    if (row.spec.duration_s + 0.5 <= warmup_s)
-      throw ConfigError("plan_from_space: scenario '" + row.spec.name +
-                        "' is shorter than the feature warmup window");
-    row.spec.name += "#" + std::to_string(r);
-    row.label = label_of(plan.class_names, row.spec.anomaly);
-    std::uint64_t h = kRowSeed;
-    mix(h, r);
-    mix(h, runner::scenario_key_hash(row.spec));
-    row.key_hash = h;
-    plan.rows.push_back(std::move(row));
+    spec.seed = runner::derive_scenario_seed(grid.base_seed, r);
+    plan.add_scenario_row(spec);
   }
   return plan;
 }
@@ -217,53 +229,20 @@ DatasetFactoryResult run_dataset_factory(const DatasetPlan& plan,
       interrupted.store(true, std::memory_order_relaxed);
       return;
     }
-    const DatasetRowSpec& row = plan.rows[i];
-    std::vector<double> features;
-    std::size_t row_peak = 0;
-    std::uint64_t row_samples = 0;
-    if (row.kind == DatasetRowSpec::Kind::kDiagnosis) {
-      const ml::DiagnosisDataOptions& diag = plan.diag_options;
-      StreamingFeatureExtractor extractor(extractor_config(
-          diag.include_bandwidth_metrics, diag.warmup_s,
-          diag.run_duration_s + 0.5, diag.measurement_noise));
-      ml::DiagnosisScenario scenario = ml::begin_diagnosis_scenario(
-          row.diag, diag, &extractor, /*store_samples=*/false);
-      scenario.world->set_cancel_token(options.hard);
-      try {
-        scenario.world->run_until(diag.run_duration_s);
-      } catch (const CancelledError&) {
-        interrupted.store(true, std::memory_order_relaxed);
-        return;  // partial window: never written
-      }
-      Rng noise_rng = row.diag.noise_rng;
-      features = extractor.finalize(&noise_rng);
-      row_peak = extractor.peak_buffered_values();
-      row_samples = extractor.samples_seen();
-    } else {
-      StreamingFeatureExtractor extractor(extractor_config(
-          plan.include_bandwidth, plan.warmup_s, row.spec.duration_s + 0.5,
-          plan.noise));
-      const runner::ScenarioResult run = runner::run_scenario(
-          row.spec, /*capture_trace=*/false, options.hard, {}, &extractor,
-          /*store_samples=*/false);
-      if (run.status != runner::ScenarioStatus::kDone) {
-        interrupted.store(true, std::memory_order_relaxed);
-        return;
-      }
-      Rng noise_rng(runner::derive_scenario_seed(row.key_hash, kNoiseStream));
-      features =
-          extractor.finalize(plan.noise > 0.0 ? &noise_rng : nullptr);
-      row_peak = extractor.peak_buffered_values();
-      row_samples = extractor.samples_seen();
+    std::optional<RowFeatures> row = compute_row(plan, i, options.hard);
+    if (!row) {
+      interrupted.store(true, std::memory_order_relaxed);
+      return;
     }
+    const std::size_t row_peak = row->peak_buffered_values;
     std::size_t prev = peak.load(std::memory_order_relaxed);
     while (row_peak > prev &&
            !peak.compare_exchange_weak(prev, row_peak,
                                        std::memory_order_relaxed)) {
     }
-    samples.fetch_add(row_samples, std::memory_order_relaxed);
+    samples.fetch_add(row->samples_seen, std::memory_order_relaxed);
     executed.fetch_add(1, std::memory_order_relaxed);
-    writer.append(i, row.label, features);
+    writer.append(i, plan.rows[i].label, row->features);
   };
 
   // The pool pops its own deque LIFO, so inside one parallel_for the
@@ -305,6 +284,20 @@ DatasetFactoryResult run_dataset_factory(const DatasetPlan& plan,
     writer.abandon();
   }
   return result;
+}
+
+ml::Dataset build_dataset(const DatasetPlan& plan, int threads) {
+  std::vector<std::vector<double>> features(plan.rows.size());
+  runner::WorkStealingPool pool({.threads = threads});
+  runner::parallel_for(pool, plan.rows.size(), [&](std::size_t i) {
+    features[i] = std::move(compute_row(plan, i, /*hard=*/nullptr)->features);
+  });
+  ml::Dataset data;
+  data.class_names = plan.class_names;
+  data.feature_names = plan.feature_names;
+  for (std::size_t i = 0; i < plan.rows.size(); ++i)
+    data.add(features[i], plan.rows[i].label);
+  return data;
 }
 
 }  // namespace hpas::dataset

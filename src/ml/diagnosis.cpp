@@ -208,15 +208,6 @@ std::vector<std::string> diagnosis_feature_names(
   return names;
 }
 
-Dataset generate_diagnosis_dataset(const DiagnosisDataOptions& options) {
-  Dataset data;
-  data.class_names = options.classes;
-  data.feature_names = diagnosis_feature_names(options);
-  for (const DiagnosisRunPlan& run : plan_diagnosis_runs(options))
-    data.add(run_diagnosis_scenario(run, options), run.label);
-  return data;
-}
-
 std::vector<DiagnosisScores> evaluate_classifiers(const Dataset& data,
                                                   int k_folds,
                                                   std::uint64_t seed) {

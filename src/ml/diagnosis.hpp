@@ -1,11 +1,13 @@
 // End-to-end anomaly-diagnosis pipeline (paper Sec. 5.1).
 //
-// Generates labeled training data by running applications on the
-// simulated cluster with and without injected anomalies, extracting
-// statistical features from the monitoring windows, and evaluating
-// tree-based classifiers with stratified k-fold cross-validation --
-// the same offline-training / runtime-diagnosis workflow as the paper's
-// framework (Tuncer et al.).
+// Plans labeled training runs of applications on the simulated cluster
+// with and without injected anomalies, defines the statistical features
+// extracted from their monitoring windows, and evaluates tree-based
+// classifiers with stratified k-fold cross-validation -- the same
+// offline-training / runtime-diagnosis workflow as the paper's framework
+// (Tuncer et al.). The labeled dataset itself is produced by the
+// streaming dataset factory (dataset/factory.hpp: plan_from_diagnosis,
+// then build_dataset in memory or run_dataset_factory to shards).
 //
 // Deliberate fidelity detail: the paper observes that cpuoccupy, membw
 // and cachecopy get confused with each other, likely "due to the lack of
@@ -72,8 +74,10 @@ struct DiagnosisRunPlan {
 std::vector<DiagnosisRunPlan> plan_diagnosis_runs(
     const DiagnosisDataOptions& options);
 
-/// Executes one planned run: simulates the scenario on a fresh world and
-/// extracts its feature vector. Thread-safe (no shared state).
+/// Executes one planned run: simulates the scenario on a fresh world with
+/// a full MetricStore and extracts its feature vector with
+/// extract_window_features. The batch reference the streaming factory's
+/// rows are checked against bit for bit. Thread-safe (no shared state).
 std::vector<double> run_diagnosis_scenario(const DiagnosisRunPlan& plan,
                                            const DiagnosisDataOptions& options);
 
@@ -117,13 +121,6 @@ DiagnosisScenario begin_diagnosis_scenario(const DiagnosisRunPlan& plan,
 std::vector<std::string> diagnosis_feature_names(
     const DiagnosisDataOptions& options);
 
-/// Runs the full sweep (classes x apps x variants simulated runs) and
-/// returns the labeled feature dataset. Deterministic for a given
-/// options value. Equivalent to executing plan_diagnosis_runs() in order;
-/// runner::generate_diagnosis_dataset_parallel() fans the same plan
-/// across a thread pool with bit-identical results.
-Dataset generate_diagnosis_dataset(const DiagnosisDataOptions& options = {});
-
 /// Cross-validated evaluation result for one classifier.
 struct DiagnosisScores {
   std::string classifier;
@@ -162,10 +159,11 @@ class OnlineDiagnoser {
     bool include_bandwidth_metrics = false;  ///< must match training
   };
 
-  /// Trains a RandomForest on `training` (typically from
-  /// generate_diagnosis_dataset) and keeps its class names. (No default
-  /// for `options`: nested-class member initializers cannot appear in a
-  /// default argument of the enclosing class.)
+  /// Trains a RandomForest on `training` (typically
+  /// dataset::build_dataset of a plan_from_diagnosis plan) and keeps its
+  /// class names. (No default for `options`: nested-class member
+  /// initializers cannot appear in a default argument of the enclosing
+  /// class.)
   OnlineDiagnoser(const Dataset& training, Options options);
 
   struct WindowDiagnosis {

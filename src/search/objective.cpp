@@ -5,8 +5,8 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "dataset/factory.hpp"
 #include "ml/diagnosis.hpp"
-#include "runner/diagnosis_sweep.hpp"
 #include "sched/monitor.hpp"
 #include "sched/policies.hpp"
 
@@ -135,14 +135,14 @@ std::unique_ptr<Objective> make_objective(
     data.variants_per_app = 1;
     data.run_duration_s = 20.0;
     data.warmup_s = 2.0;
-    const ml::Dataset dataset = runner::generate_diagnosis_dataset_parallel(
-        data, std::max(1, options.threads));
+    const ml::Dataset training = dataset::build_dataset(
+        dataset::plan_from_diagnosis(data), std::max(1, options.threads));
     ml::ForestOptions forest_options;
     forest_options.num_trees = 30;
     auto forest = std::make_shared<ml::RandomForest>(forest_options);
-    forest->fit(dataset);
+    forest->fit(training);
     return std::make_unique<EvadeDiagnosisObjective>(
-        std::move(forest), dataset.class_names, data.warmup_s);
+        std::move(forest), training.class_names, data.warmup_s);
   }
   throw ConfigError(
       "search: unknown objective '" + name +

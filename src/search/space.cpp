@@ -8,6 +8,7 @@
 #include "apps/profiles.hpp"
 #include "common/error.hpp"
 #include "common/hash.hpp"
+#include "dataset/factory.hpp"
 #include "faultline/durable.hpp"
 
 namespace hpas::search {
@@ -373,6 +374,26 @@ Json ScenarioSpace::point_json(const Point& p) const {
       obj.set(d.field, p.coords[i]);
   }
   return obj;
+}
+
+dataset::DatasetPlan plan_from_space(const ScenarioSpace& space,
+                                     std::uint64_t rows, double warmup_s,
+                                     double noise, bool include_bandwidth) {
+  require(rows > 0, "plan_from_space: need at least one row");
+  dataset::DatasetPlan plan =
+      dataset::make_plan(space.name(), warmup_s, noise, include_bandwidth);
+  // The anomaly axis (when present) fixes the label map up front; sampled
+  // rows can only draw from it, so the class list is row-count-invariant.
+  plan.label_of(space.base().anomaly);
+  for (const Dimension& dim : space.dimensions()) {
+    if (dim.field == "anomaly")
+      for (const std::string& v : dim.values) plan.label_of(v);
+  }
+  Rng rng(space.base_seed());
+  plan.rows.reserve(rows);
+  for (std::uint64_t r = 0; r < rows; ++r)
+    plan.add_scenario_row(space.materialize(space.sample(rng)));
+  return plan;
 }
 
 }  // namespace hpas::search

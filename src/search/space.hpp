@@ -45,6 +45,10 @@
 #include "common/rng.hpp"
 #include "runner/grid.hpp"
 
+namespace hpas::dataset {
+struct DatasetPlan;
+}
+
 namespace hpas::search {
 
 enum class DimKind : int { kContinuous = 0, kInteger = 1, kCategorical = 2 };
@@ -137,5 +141,12 @@ class ScenarioSpace {
   runner::ScenarioSpec base_;
   std::vector<Dimension> dims_;
 };
+
+/// A dataset plan (dataset/factory.hpp) of `rows` i.i.d. samples from
+/// `space`, drawn with one serial Rng stream seeded by the space's base
+/// seed and materialized point by point.
+dataset::DatasetPlan plan_from_space(const ScenarioSpace& space,
+                                     std::uint64_t rows, double warmup_s,
+                                     double noise, bool include_bandwidth);
 
 }  // namespace hpas::search

@@ -1,5 +1,6 @@
 // Streaming dataset factory: extractor equality, shard round-trips,
-// thread-count/resume byte-identity, corruption detection.
+// thread-count/resume byte-identity, corruption detection, and the
+// in-memory output (build_dataset) against the oracle and the shards.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,8 +10,10 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/cancel.hpp"
@@ -24,7 +27,6 @@
 #include "metrics/features.hpp"
 #include "ml/diagnosis.hpp"
 #include "runner/grid.hpp"
-#include "sim/world.hpp"
 
 namespace {
 
@@ -148,46 +150,77 @@ TEST(StreamingExtractor, IgnoresUnknownMetricsCheaply) {
   EXPECT_EQ(ex.peak_buffered_values(), 0u);
 }
 
-// --- Streamed vs batch bit-equality on the fig09 plan ----------------
+// --- Factory rows vs the batch oracle on the fig09 plan --------------
 
 // The whole diagnosis sweep shape (every class x every proxy app), one
 // variant each to keep the battery fast; the full-variant sweep is the
-// same code path run more times (microbench_dataset spot-checks it).
+// same code path run more times (microbench_dataset spot-checks it). One
+// row per configuration a caller trains on: fig09's defaults, the noise-
+// free training of online_monitor / OnlineDiagnoser, and the ablation's
+// added DRAM counter. Every build_dataset row must equal
+// ml::run_diagnosis_scenario (full MetricStore + extract_window_features)
+// bit for bit.
 TEST(StreamingEquality, Fig09PlanBitEqual) {
+  struct Config {
+    const char* name;
+    double noise;
+    bool include_bandwidth;
+  };
+  const Config configs[] = {
+      {"fig09", 0.5, false},
+      {"noise-free", 0.0, false},
+      {"dram-counter", 0.5, true},
+  };
+  for (const Config& config : configs) {
+    SCOPED_TRACE(config.name);
+    hpas::ml::DiagnosisDataOptions options;
+    options.variants_per_app = 1;
+    options.run_duration_s = 20.0;
+    options.warmup_s = 3.0;
+    options.measurement_noise = config.noise;
+    options.include_bandwidth_metrics = config.include_bandwidth;
+
+    const auto plans = hpas::ml::plan_diagnosis_runs(options);
+    ASSERT_GT(plans.size(), 0u);
+    const hpas::ml::Dataset streamed = hpas::dataset::build_dataset(
+        hpas::dataset::plan_from_diagnosis(options), /*threads=*/2);
+    ASSERT_EQ(streamed.size(), plans.size());
+    for (std::size_t r = 0; r < plans.size(); ++r) {
+      const auto& plan = plans[r];
+      const auto batch = hpas::ml::run_diagnosis_scenario(plan, options);
+      EXPECT_EQ(streamed.labels[r], plan.label);
+      ASSERT_EQ(streamed.num_features(), batch.size());
+      EXPECT_EQ(std::memcmp(streamed.row(r).data(), batch.data(),
+                            batch.size() * sizeof(double)),
+                0)
+          << plan.app << "/" << plan.anomaly;
+    }
+  }
+}
+
+// --- build_dataset: the in-memory output of the same rows -------------
+
+TEST(BuildDataset, OneAndFourThreadsBitIdentical) {
+  // Small but non-trivial: 6 classes x 8 apps x 1 variant = 48 runs.
   hpas::ml::DiagnosisDataOptions options;
   options.variants_per_app = 1;
   options.run_duration_s = 20.0;
-  options.warmup_s = 3.0;
+  options.warmup_s = 2.0;
+  const auto plan = hpas::dataset::plan_from_diagnosis(options);
 
-  StreamingExtractorConfig config;
-  config.metrics = hpas::ml::diagnosis_feature_metrics(
-      options.include_bandwidth_metrics);
-  for (const auto& id : config.metrics) {
-    config.gauge.push_back(hpas::ml::diagnosis_metric_is_gauge(id) ? 1 : 0);
-  }
-  config.window_t0 = options.warmup_s;
-  config.window_t1 = options.run_duration_s + 0.5;
-  config.noise = options.measurement_noise;
-
-  const auto plans = hpas::ml::plan_diagnosis_runs(options);
-  ASSERT_GT(plans.size(), 0u);
-  StreamingFeatureExtractor extractor(config);
-  for (const auto& plan : plans) {
-    const auto batch = hpas::ml::run_diagnosis_scenario(plan, options);
-
-    auto scenario = hpas::ml::begin_diagnosis_scenario(
-        plan, options, &extractor, /*store_samples=*/false);
-    scenario.world->run_until(options.run_duration_s);
-    hpas::Rng noise_rng = plan.noise_rng;
-    const auto streamed = extractor.finalize(&noise_rng);
-    extractor.reset();
-
-    ASSERT_EQ(streamed.size(), batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      EXPECT_EQ(std::memcmp(&streamed[i], &batch[i], sizeof(double)), 0)
-          << plan.app << "/" << plan.anomaly << " feature " << i;
-    }
-  }
+  const hpas::ml::Dataset serial = hpas::dataset::build_dataset(plan, 1);
+  const hpas::ml::Dataset parallel = hpas::dataset::build_dataset(plan, 4);
+  ASSERT_EQ(serial.size(), 48u);
+  EXPECT_EQ(serial.labels, parallel.labels);
+  ASSERT_EQ(serial.size(), parallel.size());
+  EXPECT_EQ(std::memcmp(serial.values().data(), parallel.values().data(),
+                        serial.values().size() * sizeof(double)),
+            0)
+      << "feature rows diverged";
+  EXPECT_EQ(serial.class_names, parallel.class_names);
+  EXPECT_EQ(serial.feature_names, parallel.feature_names);
+  EXPECT_EQ(serial.class_names, options.classes);
+  EXPECT_EQ(serial.feature_names, plan.feature_names);
 }
 
 // --- Shard layout helpers --------------------------------------------
@@ -471,6 +504,52 @@ TEST(DatasetFactory, ManifestCountsAndLabels) {
   EXPECT_EQ(manifest.find("feature_crcs")->as_array().size(),
             plan.feature_names.size());
   fs::remove_all(dir);
+}
+
+// --- One producer, two outputs --------------------------------------
+
+/// dataset.csv's lines as build_dataset's rows format them: a header of
+/// feature names, then "row,label,f0,f1,..." per row in plan order.
+std::vector<std::string> csv_lines_of(const hpas::ml::Dataset& data) {
+  std::string header = "row,label";
+  for (const std::string& name : data.feature_names) header += ',' + name;
+  std::vector<std::string> lines = {header};
+  for (std::size_t r = 0; r < data.size(); ++r) {
+    std::string line =
+        std::to_string(r) + ',' + std::to_string(data.labels[r]);
+    for (const double v : data.row(r))
+      line += ',' + hpas::json_number_to_string(v);
+    lines.push_back(line);
+  }
+  return lines;
+}
+
+std::vector<std::string> file_lines(const fs::path& path) {
+  std::vector<std::string> lines;
+  std::istringstream in(slurp(path));
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+TEST(BuildDataset, InMemoryRowsEqualDurableCsv) {
+  hpas::ml::DiagnosisDataOptions options;
+  options.classes = {"none", "memleak", "membw"};
+  options.variants_per_app = 1;
+  options.run_duration_s = 15.0;
+  options.warmup_s = 2.0;
+  // Both row kinds: diagnosis runs and grid scenarios.
+  const std::pair<const char*, hpas::dataset::DatasetPlan> plans[] = {
+      {"diagnosis", hpas::dataset::plan_from_diagnosis(options)},
+      {"grid", smoke_plan(12)},
+  };
+  for (const auto& [name, plan] : plans) {
+    SCOPED_TRACE(name);
+    const fs::path dir = fresh_dir(std::string("csv_") + name);
+    ASSERT_TRUE(run_factory(plan, dir, 2).complete);
+    EXPECT_EQ(file_lines(dir / "dataset.csv"),
+              csv_lines_of(hpas::dataset::build_dataset(plan, 2)));
+    fs::remove_all(dir);
+  }
 }
 
 }  // namespace

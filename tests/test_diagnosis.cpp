@@ -1,11 +1,13 @@
-// End-to-end tests for the diagnosis pipeline (ml/diagnosis.hpp) on a
-// deliberately small configuration so the suite stays quick.
+// End-to-end tests for the diagnosis pipeline (ml/diagnosis.hpp, with the
+// dataset factory producing the labeled rows) on a deliberately small
+// configuration so the suite stays quick.
 #include <algorithm>
 #include "ml/diagnosis.hpp"
 
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "dataset/factory.hpp"
 
 namespace hpas::ml {
 namespace {
@@ -18,15 +20,20 @@ DiagnosisDataOptions small_options() {
   return options;
 }
 
+Dataset generate(const DiagnosisDataOptions& options) {
+  return dataset::build_dataset(dataset::plan_from_diagnosis(options),
+                                /*threads=*/1);
+}
+
 TEST(DiagnosisData, ShapeAndDeterminism) {
   const auto options = small_options();
-  const Dataset a = generate_diagnosis_dataset(options);
+  const Dataset a = generate(options);
   // 3 classes x 8 apps x 1 variant.
   EXPECT_EQ(a.size(), 24u);
   EXPECT_EQ(a.num_classes(), 3);
   EXPECT_GT(a.num_features(), 50u);
 
-  const Dataset b = generate_diagnosis_dataset(options);
+  const Dataset b = generate(options);
   ASSERT_EQ(b.size(), a.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a.labels[i], b.labels[i]);
@@ -35,7 +42,7 @@ TEST(DiagnosisData, ShapeAndDeterminism) {
 }
 
 TEST(DiagnosisData, BalancedLabels) {
-  const Dataset data = generate_diagnosis_dataset(small_options());
+  const Dataset data = generate(small_options());
   std::vector<int> counts(3, 0);
   for (const int y : data.labels) ++counts[static_cast<std::size_t>(y)];
   EXPECT_EQ(counts[0], 8);
@@ -46,7 +53,7 @@ TEST(DiagnosisData, BalancedLabels) {
 TEST(DiagnosisData, RequiresNoneFirst) {
   DiagnosisDataOptions bad = small_options();
   bad.classes = {"memleak", "none"};
-  EXPECT_THROW(generate_diagnosis_dataset(bad), InvariantError);
+  EXPECT_THROW(generate(bad), InvariantError);
 }
 
 TEST(DiagnosisEval, DistinctClassesSeparate) {
@@ -55,7 +62,7 @@ TEST(DiagnosisEval, DistinctClassesSeparate) {
   // far above chance (0.33).
   DiagnosisDataOptions options = small_options();
   options.variants_per_app = 2;  // 48 samples
-  const Dataset data = generate_diagnosis_dataset(options);
+  const Dataset data = generate(options);
   const auto results = evaluate_classifiers(data, 2);
   ASSERT_EQ(results.size(), 3u);
   EXPECT_EQ(results[0].classifier, "DecisionTree");

@@ -7,6 +7,7 @@
 #include "apps/bsp_app.hpp"
 #include "apps/profiles.hpp"
 #include "common/error.hpp"
+#include "dataset/factory.hpp"
 #include "ml/diagnosis.hpp"
 #include "sim/cluster.hpp"
 #include "simanom/injectors.hpp"
@@ -29,7 +30,8 @@ class OnlineDiagnosisTest : public ::testing::Test {
  protected:
   static const OnlineDiagnoser& diagnoser() {
     static const OnlineDiagnoser kDiagnoser(
-        generate_diagnosis_dataset(training_options()),
+        dataset::build_dataset(dataset::plan_from_diagnosis(training_options()),
+                               /*threads=*/1),
         {.window_s = 45.0, .hop_s = 45.0, .include_bandwidth_metrics = false});
     return kDiagnoser;
   }

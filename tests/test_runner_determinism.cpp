@@ -6,7 +6,6 @@
 // the same grid at 1 / 2 / 5 workers; the golden-file check pins the
 // exact bytes under tests/golden/ (regenerate with
 // HPAS_UPDATE_GOLDEN=1 after an intentional model change).
-#include "runner/diagnosis_sweep.hpp"
 #include "runner/grid.hpp"
 #include "runner/runner.hpp"
 
@@ -138,22 +137,6 @@ TEST(SweepDeterminism, SummaryCarriesSeedsAndStats) {
     EXPECT_GT(g.number_or("median_s", 0.0), 0.0);
     EXPECT_GE(g.number_or("p95_s", 0.0), g.number_or("median_s", 0.0));
   }
-}
-
-TEST(DiagnosisSweep, ParallelMatchesSerialGenerator) {
-  // Small but non-trivial: 6 classes x 8 apps x 1 variant = 48 runs.
-  ml::DiagnosisDataOptions options;
-  options.variants_per_app = 1;
-  options.run_duration_s = 20.0;
-  options.warmup_s = 2.0;
-
-  const auto serial = ml::generate_diagnosis_dataset(options);
-  const auto parallel = generate_diagnosis_dataset_parallel(options, 4);
-  EXPECT_EQ(serial.labels, parallel.labels);
-  ASSERT_EQ(serial.size(), parallel.size());
-  EXPECT_EQ(serial.values(), parallel.values()) << "feature rows diverged";
-  EXPECT_EQ(serial.class_names, parallel.class_names);
-  EXPECT_EQ(serial.feature_names, parallel.feature_names);
 }
 
 }  // namespace

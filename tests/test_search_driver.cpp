@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -331,6 +332,39 @@ TEST_F(SearchDriverTest, EvadeScoreIsInverseTrueClassConfidence) {
       objective.score(spec_with("none", 1.0), none, none, 0.0), 0.0);
   EXPECT_DOUBLE_EQ(
       objective.score(spec_with("memleak", 1.0), none, none, 0.1), 0.0);
+}
+
+TEST_F(SearchDriverTest, EvadeObjectiveTrainsIdenticallyAtAnyThreadCount) {
+  // make_objective("evade_diagnosis") trains its forest on a dataset the
+  // factory builds on `threads` workers. The rows, the forest and every
+  // probe must not depend on that thread count.
+  const auto serial = hpas::search::make_objective("evade_diagnosis",
+                                                   {.threads = 1});
+  const auto parallel = hpas::search::make_objective("evade_diagnosis",
+                                                     {.threads = 4});
+  ASSERT_TRUE(serial->needs_probe());
+  hpas::runner::ScenarioSpec spec;
+  spec.name = "evade_probe";
+  spec.app = "CoMD";
+  spec.anomaly = "cpuoccupy";
+  spec.intensity = 0.8;
+  spec.duration_s = 10.0;
+  spec.seed = 11;
+  double probes[2] = {-1.0, -1.0};
+  const hpas::search::Objective* objectives[2] = {serial.get(),
+                                                  parallel.get()};
+  for (std::size_t k = 0; k < 2; ++k) {
+    const hpas::runner::ScenarioResult run = hpas::runner::run_scenario(
+        spec, /*capture_trace=*/false, nullptr,
+        [&](hpas::sim::World& world) {
+          probes[k] = objectives[k]->probe(world, spec);
+        });
+    ASSERT_EQ(run.status, hpas::runner::ScenarioStatus::kDone);
+  }
+  EXPECT_GE(probes[0], 0.0);
+  EXPECT_LE(probes[0], 1.0);
+  EXPECT_EQ(std::memcmp(&probes[0], &probes[1], sizeof(double)), 0)
+      << probes[0] << " vs " << probes[1];
 }
 
 TEST_F(SearchDriverTest, WbasScoreIsProbeGatedOnAnomaly) {

@@ -1,18 +1,22 @@
 // Property tests for the typed scenario-space abstraction: validation
 // rejects malformed spaces; sampling/mutation/crossover stay in bounds
 // and canonical; categoricals are never interpolated; seeded sequences
-// are bit-reproducible; point identity (hash -> name/seed) is stable.
+// are bit-reproducible; point identity (hash -> name/seed) is stable; a
+// space's dataset plan keeps its digest and thread-count byte-identity.
 #include "search/space.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "dataset/factory.hpp"
 
 namespace {
 
@@ -218,6 +222,51 @@ TEST(SearchSpace, PointJsonNamesDimensionValues) {
   EXPECT_EQ(doc.find("anomaly")->as_string(), "membw");
   EXPECT_DOUBLE_EQ(doc.find("intensity")->as_number(), 1.25);
   EXPECT_DOUBLE_EQ(doc.find("ranks_per_node")->as_number(), 4.0);
+}
+
+// --- plan_from_space: a space as a dataset plan ----------------------
+
+std::string slurp(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.is_open()) << path;
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+TEST(SearchSpace, DatasetPlanDigestPinnedAndThreadInvariant) {
+  const ScenarioSpace space =
+      ScenarioSpace::load_file(std::string(HPAS_SPACES_DIR) +
+                               "/fig08_search.json");
+  const hpas::dataset::DatasetPlan plan = hpas::search::plan_from_space(
+      space, /*rows=*/8, /*warmup_s=*/2.0, /*noise=*/0.5,
+      /*include_bandwidth=*/false);
+  ASSERT_EQ(plan.rows.size(), 8u);
+  // Base anomaly first, then the anomaly axis in declaration order.
+  EXPECT_EQ(plan.class_names,
+            (std::vector<std::string>{"none", "cpuoccupy", "cachecopy",
+                                      "membw"}));
+  // The plan identity that `hpas dataset --resume` validates; pinned so a
+  // refactor of the planners cannot silently orphan existing datasets.
+  EXPECT_EQ(plan.digest(), 0x58c52c27fd982f7dULL);
+
+  const auto base = std::filesystem::temp_directory_path() /
+                    "hpas_test_search_space_plan";
+  std::filesystem::remove_all(base);
+  for (const int threads : {1, 4}) {
+    hpas::dataset::DatasetFactoryOptions options;
+    options.out_dir = (base / ("j" + std::to_string(threads))).string();
+    options.shards = 2;
+    options.threads = threads;
+    options.write_csv = true;
+    ASSERT_TRUE(hpas::dataset::run_dataset_factory(plan, options).complete);
+  }
+  // Every output but the journal, an execution log whose checkpoint
+  // records follow completion order.
+  for (const char* name : {"shard-000.hpasds", "shard-001.hpasds",
+                           "manifest.json", "dataset.csv"}) {
+    EXPECT_EQ(slurp(base / "j1" / name), slurp(base / "j4" / name)) << name;
+  }
+  std::filesystem::remove_all(base);
 }
 
 }  // namespace
