@@ -91,6 +91,35 @@ void arm_fault_schedule_flag(const hpas::ParsedArgs& args) {
         args.value("fault-schedule")));
 }
 
+/// Drain and abort tokens of the pool verbs. Static lifetime: the watcher
+/// thread may still dereference them while main unwinds after a signal
+/// near the end of a run.
+hpas::CancelToken g_graceful;
+hpas::CancelToken g_hard;
+
+/// The pool verbs' two-signal contract: the first SIGINT/SIGTERM cancels
+/// g_graceful and prints `drain_message`. With `hard`, later signals
+/// cancel g_hard; without it (search) they repeat the drain.
+ScopedShutdownSubscription drain_on_signal(const char* drain_message,
+                                           bool hard) {
+  hpas::ShutdownController::instance().install();
+  return ScopedShutdownSubscription([drain_message, hard](int count) {
+    if (count == 1 || !hard) {
+      g_graceful.cancel(hpas::CancelReason::kShutdown);
+      std::fprintf(stderr, "\nhpas: %s\n", drain_message);
+    } else {
+      g_hard.cancel(hpas::CancelReason::kShutdown);
+    }
+  });
+}
+
+/// A pool verb's -j: 0 means every hardware thread.
+int thread_flag(const hpas::ParsedArgs& args) {
+  const int threads = static_cast<int>(hpas::flag_u64(args, "threads"));
+  return threads == 0 ? hpas::runner::WorkStealingPool::default_thread_count()
+                      : threads;
+}
+
 hpas::OptionSpec fault_schedule_flag() {
   return {.long_name = "fault-schedule", .short_name = '\0',
           .value_name = "FILE",
@@ -182,9 +211,7 @@ int run_sweep_command(const std::vector<std::string>& argv) {
   }
 
   const auto grid = hpas::runner::load_grid_file(args.positional()[0]);
-  int threads = static_cast<int>(hpas::flag_u64(args, "threads"));
-  if (threads == 0)
-    threads = hpas::runner::WorkStealingPool::default_thread_count();
+  const int threads = thread_flag(args);
   std::printf("sweep '%s': %zu scenarios across %d threads\n",
               grid.name.c_str(), grid.scenarios.size(), threads);
 
@@ -196,22 +223,10 @@ int run_sweep_command(const std::vector<std::string>& argv) {
   }
 
   const std::string out_dir = args.value("out");
-  // Static lifetime: the watcher thread may still dereference the tokens
-  // while main unwinds after a signal near the end of the sweep.
-  static hpas::CancelToken graceful;
-  static hpas::CancelToken hard;
-  auto& shutdown = hpas::ShutdownController::instance();
-  shutdown.install();
-  ScopedShutdownSubscription on_signal([](int count) {
-    if (count == 1) {
-      graceful.cancel(hpas::CancelReason::kShutdown);
-      std::fprintf(stderr,
-                   "\nhpas: draining in-flight scenarios (journaling); "
-                   "signal again to cancel hard\n");
-    } else {
-      hard.cancel(hpas::CancelReason::kShutdown);
-    }
-  });
+  const auto on_signal = drain_on_signal(
+      "draining in-flight scenarios (journaling); signal again to cancel "
+      "hard",
+      /*hard=*/true);
 
   hpas::runner::SweepOptions options;
   options.threads = threads;
@@ -222,8 +237,8 @@ int run_sweep_command(const std::vector<std::string>& argv) {
   options.deadline_s = hpas::flag_duration_seconds(args, "deadline");
   options.journal_path = out_dir + "/sweep.journal";
   options.resume = args.flag("resume");
-  options.graceful = &graceful;
-  options.hard = &hard;
+  options.graceful = &g_graceful;
+  options.hard = &g_hard;
 
   const auto result = hpas::runner::run_sweep(grid, options);
   // Outputs (including summary.json) are always written: a partial sweep
@@ -254,7 +269,7 @@ int run_sweep_command(const std::vector<std::string>& argv) {
                 result.journal_dropped);
   std::printf("wrote outputs + summary.json to %s/\n", out_dir.c_str());
 
-  if (shutdown.hard_requested()) {
+  if (g_hard.cancelled()) {
     std::fprintf(stderr,
                  "hpas: sweep cancelled hard; journal is valid, resume "
                  "with: hpas sweep ... -o %s --resume\n",
@@ -266,7 +281,7 @@ int run_sweep_command(const std::vector<std::string>& argv) {
                  result.first_error().c_str());
     return 1;
   }
-  if (shutdown.requested()) {
+  if (g_graceful.cancelled()) {
     std::printf("hpas: sweep interrupted after draining; resume with: "
                 "hpas sweep ... -o %s --resume\n",
                 out_dir.c_str());
@@ -308,8 +323,9 @@ int run_search_replay(const hpas::ParsedArgs& args) {
   if (spec_doc == nullptr || expected == nullptr)
     throw hpas::ConfigError("replay: entry is missing spec or summary_row");
 
-  const auto spec = hpas::search::spec_from_json(*spec_doc);
-  const auto result = hpas::runner::run_scenario(spec, args.flag("trace"));
+  const auto spec = hpas::runner::spec_from_json(*spec_doc);
+  const auto result =
+      hpas::runner::run_scenario(spec, {.capture_trace = args.flag("trace")});
   const hpas::Json row = hpas::search::summary_row_json(
       spec, result.app_elapsed_s,
       static_cast<std::uint64_t>(result.app_iterations));
@@ -414,17 +430,10 @@ int run_search_command(const std::vector<std::string>& argv) {
   const std::string out_dir = args.value("out");
   std::filesystem::create_directories(out_dir);
 
-  // Static lifetime: the watcher thread may outlive this frame (see
-  // run_sweep_command).
-  static hpas::CancelToken graceful;
-  auto& shutdown = hpas::ShutdownController::instance();
-  shutdown.install();
-  ScopedShutdownSubscription on_signal([](int) {
-    graceful.cancel(hpas::CancelReason::kShutdown);
-    std::fprintf(stderr,
-                 "\nhpas: finishing the running batch (journaling), then "
-                 "stopping; resume with --resume\n");
-  });
+  const auto on_signal = drain_on_signal(
+      "finishing the running batch (journaling), then stopping; resume "
+      "with --resume",
+      /*hard=*/false);
 
   hpas::search::SearchOptions options;
   options.strategy = args.value("strategy");
@@ -437,7 +446,7 @@ int run_search_command(const std::vector<std::string>& argv) {
   options.resume = args.flag("resume");
   options.minimize = args.flag("minimize");
   options.minimize_keep = hpas::flag_double(args, "keep");
-  options.graceful = &graceful;
+  options.graceful = &g_graceful;
 
   std::printf("search '%s': strategy=%s objective=%s budget=%zu seed=%llu\n",
               space.name().c_str(), options.strategy.c_str(),
@@ -465,7 +474,7 @@ int run_search_command(const std::vector<std::string>& argv) {
   if (args.flag("trace")) {
     for (const auto& e : result.frontier) {
       const auto rerun =
-          hpas::runner::run_scenario(e.spec, /*capture_trace=*/true);
+          hpas::runner::run_scenario(e.spec, {.capture_trace = true});
       write_text_file(out_dir + "/" + e.spec.name + ".trace.bin",
                       rerun.trace_bin);
     }
@@ -873,31 +882,16 @@ int run_dataset_command(const std::vector<std::string>& argv) {
     }
   }
 
-  int threads = static_cast<int>(hpas::flag_u64(args, "threads"));
-  if (threads == 0)
-    threads = hpas::runner::WorkStealingPool::default_thread_count();
+  const int threads = thread_flag(args);
   std::printf("dataset '%s': %zu rows x %zu features, %llu shards, "
               "%d threads\n",
               plan.name.c_str(), plan.rows.size(), plan.feature_names.size(),
               static_cast<unsigned long long>(hpas::flag_u64(args, "shards")),
               threads);
 
-  // Static lifetime: the watcher thread may still dereference the tokens
-  // while main unwinds after a signal near the end of the run.
-  static hpas::CancelToken graceful;
-  static hpas::CancelToken hard;
-  auto& shutdown = hpas::ShutdownController::instance();
-  shutdown.install();
-  ScopedShutdownSubscription on_signal([](int count) {
-    if (count == 1) {
-      graceful.cancel(hpas::CancelReason::kShutdown);
-      std::fprintf(stderr,
-                   "\nhpas: draining in-flight rows (checkpointing); "
-                   "signal again to cancel hard\n");
-    } else {
-      hard.cancel(hpas::CancelReason::kShutdown);
-    }
-  });
+  const auto on_signal = drain_on_signal(
+      "draining in-flight rows (checkpointing); signal again to cancel hard",
+      /*hard=*/true);
 
   hpas::dataset::DatasetFactoryOptions options;
   options.out_dir = out_dir;
@@ -906,8 +900,8 @@ int run_dataset_command(const std::vector<std::string>& argv) {
   options.checkpoint_rows = hpas::flag_u64(args, "checkpoint");
   options.resume = args.flag("resume");
   options.write_csv = args.flag("csv");
-  options.graceful = &graceful;
-  options.hard = &hard;
+  options.graceful = &g_graceful;
+  options.hard = &g_hard;
 
   const auto result = hpas::dataset::run_dataset_factory(plan, options);
   std::printf("dataset: %llu rows (%llu executed, %llu resumed), "
@@ -920,7 +914,7 @@ int run_dataset_command(const std::vector<std::string>& argv) {
   if (result.complete)
     std::printf("wrote %s\n", result.manifest_path.c_str());
 
-  if (shutdown.hard_requested()) {
+  if (g_hard.cancelled()) {
     std::fprintf(stderr,
                  "hpas: dataset cancelled hard; journal is valid, resume "
                  "with: hpas dataset ... -o %s --resume\n",

@@ -10,6 +10,11 @@
 // exactly like LDMS dumps would; the ML pipeline in src/ml consumes the
 // same data in-process.
 //
+// A thin front end over runner::run_scenario: the flags become one
+// ScenarioSpec (with the anomaly placed explicitly on --anomaly-node and
+// --anomaly-core), the runner executes it exactly as a sweep would, and
+// every output is published atomically through faultline/durable.
+//
 // Reproducibility workflow:
 //   hpas-sim ... --trace run.bin -o out        # record a structured trace
 //   hpas-sim ... --check-trace run.bin -o out  # re-run + diff against it
@@ -23,22 +28,21 @@
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
-#include "apps/bsp_app.hpp"
-#include "apps/profiles.hpp"
 #include "common/cancel.hpp"
 #include "common/cli.hpp"
 #include "common/error.hpp"
 #include "common/shutdown.hpp"
 #include "common/units.hpp"
+#include "faultline/durable.hpp"
 #include "metrics/csv.hpp"
-#include "sim/cluster.hpp"
-#include "simanom/injectors.hpp"
+#include "runner/runner.hpp"
+#include "sim/world.hpp"
 #include "trace/export.hpp"
 #include "trace/replay.hpp"
-#include "trace/tracer.hpp"
 
 namespace {
 
@@ -92,66 +96,43 @@ hpas::CliParser make_parser() {
   return parser;
 }
 
-int run(const hpas::ParsedArgs& args) {
-  const std::string preset = args.value("preset");
-  std::unique_ptr<hpas::sim::World> world;
-  if (preset == "voltrino") {
-    world = hpas::sim::make_voltrino_world();
-  } else if (preset == "chameleon") {
-    world = hpas::sim::make_chameleon_world();
-  } else if (preset == "dragonfly1k") {
-    world = hpas::sim::make_dragonfly_world();
-  } else {
-    throw hpas::ConfigError("unknown preset '" + preset +
-                            "' (expected voltrino, chameleon or dragonfly1k)");
+/// The flags as the one scenario run_scenario executes: the anomaly sits
+/// where --anomaly-node/--anomaly-core put it, and an app spans node 0 and
+/// the middle node for the whole --duration window.
+hpas::runner::ScenarioSpec spec_from_flags(const hpas::ParsedArgs& args) {
+  hpas::runner::ScenarioSpec spec;
+  spec.system = args.value("preset");
+  spec.app = args.value("app").empty() ? "none" : args.value("app");
+  spec.anomaly =
+      args.value("anomaly").empty() ? "none" : args.value("anomaly");
+  spec.anomaly_node = static_cast<int>(hpas::flag_u64(args, "anomaly-node"));
+  spec.anomaly_core = static_cast<int>(hpas::flag_u64(args, "anomaly-core"));
+  spec.intensity = hpas::flag_double(args, "intensity");
+  spec.duration_s = hpas::flag_duration_seconds(args, "duration");
+  spec.sample_period_s = hpas::flag_duration_seconds(args, "sample-period");
+  spec.ranks_per_node = static_cast<int>(hpas::flag_u64(args, "ranks"));
+  if (!args.value("fail-at").empty()) {
+    spec.injector_fail_at_s = hpas::flag_duration_seconds(args, "fail-at");
+    if (spec.injector_fail_at_s <= 0.0)
+      throw hpas::ConfigError("--fail-at must be positive");
+    const int fail_tasks =
+        static_cast<int>(hpas::flag_u64(args, "fail-tasks"));
+    spec.injector_fail_tasks = fail_tasks == 0 ? -1 : fail_tasks;
   }
+  return spec;
+}
 
-  const double duration = hpas::flag_duration_seconds(args, "duration");
-  const double period =
-      hpas::flag_duration_seconds(args, "sample-period");
+/// Every output takes the other verbs' durable path (tmp, fsync, rename,
+/// directory fsync) in their fault domain.
+void write_output(const std::string& path, const std::string& bytes) {
+  hpas::faultline::write_file_atomic(hpas::faultline::Domain::kJournal, path,
+                                     bytes);
+}
 
+int run(const hpas::ParsedArgs& args) {
+  const hpas::runner::ScenarioSpec spec = spec_from_flags(args);
   const std::string trace_path = args.value("trace");
   const std::string check_path = args.value("check-trace");
-  std::optional<hpas::trace::TraceCapture> capture;
-  if (!trace_path.empty() || !check_path.empty()) {
-    // Attach before monitoring and injection: the trace must cover the
-    // whole scenario or replay checking would diverge on the prefix.
-    capture.emplace();
-    world->attach_tracer(&capture->tracer());
-  }
-  world->enable_monitoring(period);
-
-  const std::string anomaly = args.value("anomaly");
-  if (!anomaly.empty()) {
-    const auto injected = hpas::simanom::inject_by_name(
-        *world, anomaly,
-        static_cast<int>(hpas::flag_u64(args, "anomaly-node")),
-        static_cast<int>(hpas::flag_u64(args, "anomaly-core")),
-        duration, hpas::flag_double(args, "intensity"));
-    const std::string fail_at = args.value("fail-at");
-    if (!fail_at.empty()) {
-      const int fail_tasks =
-          static_cast<int>(hpas::flag_u64(args, "fail-tasks"));
-      hpas::simanom::schedule_injector_failure(
-          *world, injected, hpas::flag_duration_seconds(args, "fail-at"),
-          fail_tasks == 0 ? -1 : fail_tasks);
-    }
-  }
-
-  std::unique_ptr<hpas::apps::BspApp> app;
-  const std::string app_name = args.value("app");
-  if (!app_name.empty()) {
-    hpas::apps::AppSpec spec = hpas::apps::app_by_name(app_name);
-    spec.iterations = 1000000000;  // run for the whole window
-    const int peer = world->num_nodes() / 2;  // span switch groups
-    app = std::make_unique<hpas::apps::BspApp>(
-        *world, spec,
-        hpas::apps::BspApp::Placement{
-            .nodes = {0, peer},
-            .ranks_per_node =
-                static_cast<int>(hpas::flag_u64(args, "ranks")),
-            .first_core = 0});
-  }
 
   // First signal: cancel cooperatively at the next event boundary and
   // fall through to the normal export path with whatever was simulated.
@@ -169,62 +150,66 @@ int run(const hpas::ParsedArgs& args) {
           std::_Exit(130);
         }
       });
-  world->set_cancel_token(&cancel);
 
-  bool interrupted = false;
-  try {
-    world->run_until(duration);
-  } catch (const hpas::CancelledError& e) {
-    interrupted = true;
-    if (capture) {
-      // Close the truncated trace so the partial capture says why it ends.
-      capture->tracer().set_time(world->now());
-      capture->tracer().emit(hpas::trace::RecordKind::kRunCancelled, 0,
-                             static_cast<std::uint16_t>(e.reason()), 0,
-                             world->now());
+  // Node 0's CSV is the result's metrics_csv; the other nodes' are taken
+  // from the world before run_scenario tears it down, interrupted or not.
+  std::vector<std::string> csvs(1);
+  double stopped_at = 0.0;
+  hpas::runner::RunOptions options;
+  options.capture_trace = !trace_path.empty() || !check_path.empty();
+  options.cancel = &cancel;
+  options.inspect = [&](hpas::sim::World& world) {
+    stopped_at = world.now();
+    for (int node = 1; node < world.num_nodes(); ++node) {
+      std::ostringstream csv;
+      hpas::metrics::write_csv(csv, world.node_store(node));
+      csvs.push_back(csv.str());
     }
-  }
+  };
+  hpas::runner::ScenarioResult result =
+      hpas::runner::run_scenario(spec, options);
   hpas::ShutdownController::instance().unsubscribe(subscription);
+  csvs[0] = std::move(result.metrics_csv);
+  const bool interrupted =
+      result.status != hpas::runner::ScenarioStatus::kDone;
 
-  if (capture) {
-    const hpas::trace::TraceFile fresh = capture->take();
-    if (!trace_path.empty()) {
-      hpas::trace::write_binary_file(trace_path, fresh);
-      std::printf("hpas-sim: trace: %zu records -> %s\n",
-                  fresh.records.size(), trace_path.c_str());
+  const auto records = static_cast<unsigned long long>(result.trace_records);
+  if (!trace_path.empty()) {
+    write_output(trace_path, result.trace_bin);
+    std::printf("hpas-sim: trace: %llu records -> %s\n", records,
+                trace_path.c_str());
+  }
+  if (!check_path.empty() && interrupted) {
+    std::fprintf(stderr,
+                 "hpas-sim: replay check skipped: run was interrupted, "
+                 "the truncated trace cannot be compared\n");
+  } else if (!check_path.empty()) {
+    std::istringstream fresh_bytes(result.trace_bin, std::ios::binary);
+    const hpas::trace::TraceFile fresh =
+        hpas::trace::read_binary(fresh_bytes);
+    const hpas::trace::TraceFile recorded =
+        hpas::trace::read_binary_file(check_path);
+    const auto divergence = hpas::trace::diff_traces(recorded, fresh);
+    if (divergence.diverged) {
+      std::fprintf(stderr, "hpas-sim: replay check FAILED: %s\n",
+                   divergence.description.c_str());
+      return 3;
     }
-    if (!check_path.empty() && interrupted) {
-      std::fprintf(stderr,
-                   "hpas-sim: replay check skipped: run was interrupted, "
-                   "the truncated trace cannot be compared\n");
-    } else if (!check_path.empty()) {
-      const hpas::trace::TraceFile recorded =
-          hpas::trace::read_binary_file(check_path);
-      const auto divergence = hpas::trace::diff_traces(recorded, fresh);
-      if (divergence.diverged) {
-        std::fprintf(stderr, "hpas-sim: replay check FAILED: %s\n",
-                     divergence.description.c_str());
-        return 3;
-      }
-      std::printf("hpas-sim: replay check passed (%zu records match %s)\n",
-                  fresh.records.size(), check_path.c_str());
-    }
+    std::printf("hpas-sim: replay check passed (%llu records match %s)\n",
+                records, check_path.c_str());
   }
 
   const std::string prefix = args.value("output");
-  for (int node = 0; node < world->num_nodes(); ++node) {
-    const std::string path =
-        prefix + ".node" + std::to_string(node) + ".csv";
-    hpas::metrics::write_csv_file(path, world->node_store(node));
-  }
-  std::printf("hpas-sim: %s for %s, %d nodes -> %s.node*.csv\n",
-              app_name.empty() ? "idle" : app_name.c_str(),
-              hpas::format_seconds(duration).c_str(), world->num_nodes(),
+  for (std::size_t node = 0; node < csvs.size(); ++node)
+    write_output(prefix + ".node" + std::to_string(node) + ".csv", csvs[node]);
+  std::printf("hpas-sim: %s for %s, %zu nodes -> %s.node*.csv\n",
+              spec.app == "none" ? "idle" : spec.app.c_str(),
+              hpas::format_seconds(spec.duration_s).c_str(), csvs.size(),
               prefix.c_str());
   if (interrupted)
     std::printf("hpas-sim: interrupted at t=%s (outputs cover the "
                 "simulated prefix)\n",
-                hpas::format_seconds(world->now()).c_str());
+                hpas::format_seconds(stopped_at).c_str());
   return 0;
 }
 

@@ -68,8 +68,8 @@ std::optional<RowFeatures> compute_row(const DatasetPlan& plan, std::size_t i,
     }
   } else {
     const runner::ScenarioResult run = runner::run_scenario(
-        row.spec, /*capture_trace=*/false, hard, {}, &extractor,
-        /*store_samples=*/false);
+        row.spec,
+        {.cancel = hard, .sink = &extractor, .store_samples = false});
     if (run.status != runner::ScenarioStatus::kDone) return std::nullopt;
   }
   RowFeatures out;

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
-#include <fstream>
 #include <ostream>
-
-#include "common/error.hpp"
 
 namespace hpas::metrics {
 namespace {
@@ -84,13 +81,6 @@ void write_csv(std::ostream& os, const MetricStore& store) {
     out += '\n';
   }
   flush();
-}
-
-void write_csv_file(const std::string& path, const MetricStore& store) {
-  std::ofstream out(path);
-  if (!out) throw SystemError("cannot open for writing: " + path);
-  write_csv(out, store);
-  if (!out) throw SystemError("write failed: " + path);
 }
 
 }  // namespace hpas::metrics

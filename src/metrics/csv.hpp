@@ -16,7 +16,4 @@ namespace hpas::metrics {
 /// with default flags (printf "%.6g").
 void write_csv(std::ostream& os, const MetricStore& store);
 
-/// Convenience wrapper writing to a file; throws SystemError on failure.
-void write_csv_file(const std::string& path, const MetricStore& store);
-
 }  // namespace hpas::metrics

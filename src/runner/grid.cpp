@@ -52,6 +52,34 @@ std::uint64_t derive_scenario_seed(std::uint64_t base, std::uint64_t index) {
   return SplitMix64(base ^ (index * 0x9e3779b97f4a7c15ULL)).next();
 }
 
+void validate_spec(const ScenarioSpec& spec) {
+  if (spec.system != "voltrino" && spec.system != "chameleon" &&
+      spec.system != "dragonfly1k")
+    throw ConfigError("unknown system '" + spec.system +
+                      "' (expected voltrino, chameleon or dragonfly1k)");
+  if (!(spec.injector_fail_at_s >= 0.0))
+    throw ConfigError("injector_fail_at_s must be non-negative");
+  if (!(spec.duration_s > 0.0))
+    throw ConfigError("duration_s must be positive");
+  if (!(spec.sample_period_s > 0.0))
+    throw ConfigError("sample_period_s must be positive");
+  if (spec.app_nodes < 1 || spec.ranks_per_node < 1)
+    throw ConfigError("app_nodes and ranks_per_node must be >= 1");
+  if (spec.app != "none") apps::app_by_name(spec.app);  // throws on unknown
+  // "os_jitter" is the simulated-only ninth generator (paper Sec. 3.1's
+  // low-utilization cpuoccupy variant); its gap sequence consumes the
+  // scenario's counter-based RNG stream.
+  if (spec.anomaly != "none" && spec.anomaly != "os_jitter" &&
+      !anomalies::is_known_anomaly(spec.anomaly))
+    throw ConfigError("unknown anomaly '" + spec.anomaly + "'");
+  if (!(spec.intensity > 0.0))
+    throw ConfigError("intensity must be positive");
+  const bool policy = spec.anomaly_node == -1 && spec.anomaly_core == -1;
+  if (!policy && (spec.anomaly_node < 0 || spec.anomaly_core < 0))
+    throw ConfigError(
+        "anomaly_node and anomaly_core must both be -1 or both be >= 0");
+}
+
 SweepGrid expand_grid(const Json& spec) {
   if (!spec.is_object()) throw ConfigError("grid: document must be an object");
 
@@ -62,10 +90,6 @@ SweepGrid expand_grid(const Json& spec) {
 
   ScenarioSpec base;
   base.system = spec.string_or("system", "voltrino");
-  if (base.system != "voltrino" && base.system != "chameleon" &&
-      base.system != "dragonfly1k")
-    throw ConfigError("grid: unknown system '" + base.system +
-                      "' (expected voltrino, chameleon or dragonfly1k)");
   base.duration_s = spec.number_or("duration_s", 60.0);
   base.sample_period_s = spec.number_or("sample_period_s", 1.0);
   base.app_nodes = static_cast<int>(spec.number_or("app_nodes", 2));
@@ -74,39 +98,14 @@ SweepGrid expand_grid(const Json& spec) {
   base.injector_fail_at_s = spec.number_or("injector_fail_at_s", 0.0);
   base.injector_fail_tasks =
       static_cast<int>(spec.number_or("injector_fail_tasks", -1));
-  if (base.injector_fail_at_s < 0.0)
-    throw ConfigError("grid: injector_fail_at_s must be non-negative");
-  if (base.duration_s <= 0.0)
-    throw ConfigError("grid: duration_s must be positive");
-  if (base.sample_period_s <= 0.0)
-    throw ConfigError("grid: sample_period_s must be positive");
-  if (base.app_nodes < 1 || base.ranks_per_node < 1)
-    throw ConfigError("grid: app_nodes and ranks_per_node must be >= 1");
 
   std::vector<std::string> app_axis;
   for (const auto& app : apps::proxy_apps()) app_axis.push_back(app.name);
   app_axis = string_axis(spec, "apps", std::move(app_axis));
-  for (const std::string& app : app_axis) {
-    if (app != "none") apps::app_by_name(app);  // throws on unknown names
-  }
-
   const std::vector<std::string> anomaly_axis =
       string_axis(spec, "anomalies", {"none"});
-  for (const std::string& anomaly : anomaly_axis) {
-    // "os_jitter" is the simulated-only ninth generator (paper Sec. 3.1's
-    // low-utilization cpuoccupy variant); its gap sequence consumes the
-    // scenario's counter-based RNG stream.
-    if (anomaly != "none" && anomaly != "os_jitter" &&
-        !anomalies::is_known_anomaly(anomaly))
-      throw ConfigError("grid: unknown anomaly '" + anomaly + "'");
-  }
-
   const std::vector<double> intensity_axis =
       number_axis(spec, "intensities", {1.0});
-  for (const double x : intensity_axis) {
-    if (x <= 0.0) throw ConfigError("grid: intensities must be positive");
-  }
-
   const int repeats = static_cast<int>(spec.number_or("repeats", 1));
   if (repeats < 1) throw ConfigError("grid: repeats must be >= 1");
 
@@ -122,6 +121,11 @@ SweepGrid expand_grid(const Json& spec) {
           s.app = app;
           s.anomaly = anomaly;
           s.intensity = intensity;
+          try {
+            validate_spec(s);
+          } catch (const ConfigError& e) {
+            throw ConfigError(std::string("grid: ") + e.what());
+          }
           s.seed = derive_scenario_seed(grid.base_seed, index);
           s.name = scenario_name(index, s, rep);
           grid.scenarios.push_back(std::move(s));
@@ -184,6 +188,7 @@ ScenarioSpec spec_from_json(const Json& doc) {
   spec.injector_fail_tasks = static_cast<int>(doc.number_or(
       "injector_fail_tasks", static_cast<double>(spec.injector_fail_tasks)));
   spec.seed = std::strtoull(doc.string_or("seed", "0").c_str(), nullptr, 10);
+  validate_spec(spec);
   return spec;
 }
 

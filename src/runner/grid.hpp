@@ -54,6 +54,12 @@ struct ScenarioSpec {
   double injector_fail_at_s = 0.0;
   int injector_fail_tasks = -1;
   std::uint64_t seed = 0;          ///< per-scenario counter-derived stream
+  /// Explicit anomaly placement (hpas-sim's --anomaly-node/-core): inject
+  /// on this node and core instead of the runner's placement policy. -1
+  /// (both) selects the policy. Never part of a grid, the JSON round-trip
+  /// or scenario_key_hash, so no journaled or wire spec carries it.
+  int anomaly_node = -1;
+  int anomaly_core = -1;
 };
 
 struct SweepGrid {
@@ -67,10 +73,16 @@ struct SweepGrid {
 /// state is consumed, which is what keeps parallel expansion exact.
 std::uint64_t derive_scenario_seed(std::uint64_t base, std::uint64_t index);
 
+/// Throws ConfigError unless run_scenario() can execute `spec`: a known
+/// system, app and anomaly, positive durations and intensity, at least one
+/// app node and rank, a non-negative injector failure time, and placement
+/// fields that are both -1 or both >= 0.
+void validate_spec(const ScenarioSpec& spec);
+
 /// Expands a grid document into the full scenario list. Validates every
-/// axis value (unknown app/anomaly/system, non-positive durations or
-/// intensities, repeats < 1) and throws ConfigError with the offending
-/// value on error.
+/// scenario (validate_spec) plus the grid's own shape (empty axes,
+/// repeats < 1) and throws ConfigError, prefixed "grid: ", with the
+/// offending value on error.
 SweepGrid expand_grid(const Json& spec);
 
 /// Reads and expands a grid file; throws SystemError when unreadable and
@@ -82,7 +94,8 @@ SweepGrid load_grid_file(const std::string& path);
 /// the 64-bit seed travels as a decimal string because it does not
 /// round-trip through JSON doubles. spec_from_json() applies the struct's
 /// defaults for absent members and throws ConfigError when the document
-/// is not an object (or a member has the wrong type).
+/// is not an object, a member has the wrong type, or the spec fails
+/// validate_spec().
 Json spec_to_json(const ScenarioSpec& spec);
 ScenarioSpec spec_from_json(const Json& doc);
 

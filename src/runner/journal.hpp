@@ -62,7 +62,8 @@ struct JournalRecord {
 /// output (including the derived seed). Resume matches journal records to
 /// grid entries by this hash, so editing the grid invalidates exactly the
 /// scenarios whose parameters changed -- renames included, because the
-/// name decides the output path.
+/// name decides the output path. The explicit anomaly placement is left
+/// out: only hpas-sim sets it, and no journaled or wire spec carries it.
 std::uint64_t scenario_key_hash(const ScenarioSpec& spec);
 
 /// Append-only journal writer. Every append() writes one frame with a

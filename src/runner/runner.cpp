@@ -36,12 +36,18 @@ namespace {
 /// footprint and I/O anomalies take the first core the app does not use.
 /// netoccupy streams between two non-app nodes across the inter-switch
 /// trunk the app's halo exchange crosses.
+///
+/// An explicit placement (spec.anomaly_node/core) bypasses the policy and
+/// injects the catalog generator on that node and core as given.
 std::vector<sim::Task*> inject_anomaly(sim::World& world,
                                        const ScenarioSpec& spec,
                                        Rng& stream) {
   if (spec.anomaly == "none") return {};
   const double duration = spec.duration_s;
   const double intensity = spec.intensity;
+  if (spec.anomaly_node >= 0)
+    return simanom::inject_by_name(world, spec.anomaly, spec.anomaly_node,
+                                   spec.anomaly_core, duration, intensity);
   const int busy_core = 0;
   const int free_core = spec.ranks_per_node;
 
@@ -148,10 +154,9 @@ const char* scenario_status_name(ScenarioStatus status) {
   return "unknown";
 }
 
-ScenarioResult run_scenario(const ScenarioSpec& spec, bool capture_trace,
-                            const CancelToken* cancel,
-                            const std::function<void(sim::World&)>& inspect,
-                            metrics::SampleSink* sink, bool store_samples) {
+ScenarioResult run_scenario(const ScenarioSpec& spec,
+                            const RunOptions& options) {
+  validate_spec(spec);
   ScenarioResult result;
   result.spec = spec;
 
@@ -166,13 +171,13 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, bool capture_trace,
   // Tracing attaches before monitoring/injection so the captured stream
   // covers every event the scenario generates.
   std::optional<trace::TraceCapture> capture;
-  if (capture_trace) {
+  if (options.capture_trace) {
     capture.emplace();
     world->attach_tracer(&capture->tracer());
   }
-  world->enable_monitoring(spec.sample_period_s, sink, /*sink_node=*/0,
-                           store_samples);
-  world->set_cancel_token(cancel);
+  world->enable_monitoring(spec.sample_period_s, options.sink,
+                           /*sink_node=*/0, options.store_samples);
+  world->set_cancel_token(options.cancel);
 
   try {
     Rng stream(spec.seed);
@@ -223,7 +228,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, bool capture_trace,
     }
   }
 
-  if (inspect && result.status == ScenarioStatus::kDone) inspect(*world);
+  if (options.inspect) options.inspect(*world);
 
   std::ostringstream csv;
   metrics::write_csv(csv, world->node_store(0));
@@ -333,43 +338,40 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& options) {
   std::optional<Watchdog> watchdog;
   if (options.scenario_timeout_s > 0.0) watchdog.emplace();
 
-  // The relay turns external wall-clock conditions (shutdown tokens, the
-  // sweep deadline) into pool/token cancellations. Polling at 10ms keeps
-  // it dependency-free; shutdown latency is bounded by the poll period
-  // plus one simulator event.
+  // External wall-clock conditions (shutdown tokens, the sweep deadline)
+  // become pool/token cancellations here. The submit loop polls before
+  // every submission, so a token that fired before the sweep started
+  // stops it before anything runs; afterwards the relay thread polls
+  // every 10ms, which keeps it dependency-free and bounds shutdown latency
+  // by the poll period plus one simulator event.
+  const auto start = std::chrono::steady_clock::now();
+  std::atomic<bool> drained{false};
+  std::atomic<bool> aborted{false};
+  auto poll_stop_requests = [&] {
+    if (options.graceful != nullptr && options.graceful->cancelled() &&
+        !drained.exchange(true)) {
+      interrupted.store(true, std::memory_order_relaxed);
+      pool.request_cancel();  // stop dequeuing; running tasks finish
+    }
+    const bool hard = options.hard != nullptr && options.hard->cancelled();
+    const bool past_deadline =
+        options.deadline_s > 0.0 &&
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      start)
+                .count() >= options.deadline_s;
+    if ((hard || past_deadline) && !aborted.exchange(true)) {
+      interrupted.store(true, std::memory_order_relaxed);
+      pool.request_cancel();
+      cancel_active(hard ? CancelReason::kShutdown : CancelReason::kDeadline);
+    }
+  };
   std::atomic<bool> relay_stop{false};
   std::thread relay;
-  const bool need_relay = options.deadline_s > 0.0 ||
-                          options.graceful != nullptr ||
-                          options.hard != nullptr;
-  if (need_relay) {
+  if (options.deadline_s > 0.0 || options.graceful != nullptr ||
+      options.hard != nullptr) {
     relay = std::thread([&] {
-      const auto start = std::chrono::steady_clock::now();
-      bool drained = false;
-      bool aborted = false;
       while (!relay_stop.load(std::memory_order_acquire)) {
-        if (!drained && options.graceful != nullptr &&
-            options.graceful->cancelled()) {
-          drained = true;
-          interrupted.store(true, std::memory_order_relaxed);
-          pool.request_cancel();  // stop dequeuing; running tasks finish
-        }
-        if (!aborted) {
-          const bool hard =
-              options.hard != nullptr && options.hard->cancelled();
-          const bool past_deadline =
-              options.deadline_s > 0.0 &&
-              std::chrono::duration<double>(
-                  std::chrono::steady_clock::now() - start)
-                      .count() >= options.deadline_s;
-          if (hard || past_deadline) {
-            aborted = true;
-            interrupted.store(true, std::memory_order_relaxed);
-            pool.request_cancel();
-            cancel_active(hard ? CancelReason::kShutdown
-                               : CancelReason::kDeadline);
-          }
-        }
+        poll_stop_requests();
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
       }
     });
@@ -379,6 +381,8 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& options) {
   std::atomic<std::size_t> executed{0};
   for (std::size_t i = 0; i < grid.scenarios.size(); ++i) {
     if (restored[i]) continue;
+    poll_stop_requests();
+    if (pool.cancelled()) break;
     // Each task owns slot i exclusively; no result ordering depends on
     // scheduling, so thread count cannot leak into the output.
     pool.submit([&, i] {
@@ -397,8 +401,9 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& options) {
       const auto t0 = std::chrono::steady_clock::now();
       ScenarioResult& slot = result.scenarios[i];
       try {
-        slot = run_scenario(grid.scenarios[i], options.capture_traces,
-                            token.get());
+        slot = run_scenario(grid.scenarios[i],
+                            {.capture_trace = options.capture_traces,
+                             .cancel = token.get()});
       } catch (const std::exception& e) {
         slot.spec = grid.scenarios[i];
         slot.ran = true;
@@ -430,7 +435,6 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& options) {
         journal->append(make_journal_record(slot));
       }
     });
-    if (pool.cancelled()) break;
   }
   pool.wait_idle();
   relay_stop.store(true, std::memory_order_release);

@@ -114,36 +114,43 @@ struct SweepResult {
   Json summary_json() const;
 };
 
-/// Runs one scenario in isolation. Exposed for tests; run_sweep() calls
-/// exactly this for every grid entry. With `capture_trace` the scenario's
-/// world runs under a lossless TraceCapture (attached before monitoring
-/// and injection, so the stream is complete) and the result carries the
-/// serialized binary trace.
-///
-/// `cancel` (optional) is checked between simulator events: once it
-/// fires, the run stops at the next event boundary with status kTimeout
-/// or kCancelled (per the token's reason), keeps the metrics collected so
-/// far, and -- when tracing -- ends the truncated trace with one
-/// kRunCancelled record so partial captures are self-describing.
-///
-/// `inspect` (optional) is invoked on the scenario's world after a
-/// *completed* run, before the world is torn down -- the hook behind
-/// probe-based search objectives (WBAS capacity ranks, classifier
-/// confidence). It must be deterministic and must not advance the
-/// simulation if the scenario's outputs are to stay reproducible.
-///
-/// `sink` (optional) observes node 0's monitoring samples as they are
-/// collected (including the t=0 sample) -- the streaming dataset
-/// factory's extraction hook. With `store_samples` false the per-node
-/// MetricStores stay empty (result.metrics_csv is then header-only), so
-/// a sink-only scenario runs in O(1) monitoring memory regardless of
-/// duration. Observation-only: the simulated world is bit-identical with
-/// or without a sink.
-ScenarioResult run_scenario(
-    const ScenarioSpec& spec, bool capture_trace = false,
-    const CancelToken* cancel = nullptr,
-    const std::function<void(sim::World&)>& inspect = {},
-    metrics::SampleSink* sink = nullptr, bool store_samples = true);
+/// Per-run knobs of run_scenario(). None of them enters the scenario's
+/// identity: the simulated world, and with it every output byte, is a
+/// function of the ScenarioSpec alone.
+struct RunOptions {
+  /// Run under a lossless TraceCapture (attached before monitoring and
+  /// injection, so the stream is complete); the result then carries the
+  /// serialized binary trace.
+  bool capture_trace = false;
+  /// Checked between simulator events: once it fires, the run stops at
+  /// the next event boundary with status kTimeout or kCancelled (per the
+  /// token's reason), keeps the metrics collected so far, and -- when
+  /// tracing -- ends the truncated trace with one kRunCancelled record so
+  /// partial captures are self-describing. May be null.
+  const CancelToken* cancel = nullptr;
+  /// Invoked on the scenario's world after every run that stopped at an
+  /// event boundary (done, timeout or cancelled), before the world is torn
+  /// down -- the hook behind probe-based search objectives and hpas-sim's
+  /// per-node CSVs. Callers that want a completed run check
+  /// result.status. It must be deterministic and must not advance the
+  /// simulation if the scenario's outputs are to stay reproducible.
+  std::function<void(sim::World&)> inspect = {};
+  /// Observes node 0's monitoring samples as they are collected
+  /// (including the t=0 sample) -- the streaming dataset factory's
+  /// extraction hook. Observation-only: the simulated world is
+  /// bit-identical with or without a sink. May be null.
+  metrics::SampleSink* sink = nullptr;
+  /// false leaves the per-node MetricStores empty (result.metrics_csv is
+  /// then header-only), so a sink-only scenario runs in O(1) monitoring
+  /// memory regardless of duration.
+  bool store_samples = true;
+};
+
+/// Runs one scenario in isolation: the single executor behind sweep,
+/// search, serve, dataset and hpas-sim. Throws ConfigError when the spec
+/// fails validate_spec().
+ScenarioResult run_scenario(const ScenarioSpec& spec,
+                            const RunOptions& options = {});
 
 /// Runs the whole grid across `options.threads` workers.
 SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& options = {});

@@ -114,14 +114,13 @@ class Evaluator {
     runner::parallel_for(pool_, jobs.size(), [&](std::size_t i) {
       Job& j = jobs[i];
       try {
-        std::function<void(sim::World&)> inspect;
+        runner::RunOptions run;
         if (objective_.needs_probe() && !j.is_baseline) {
-          inspect = [&j, this](sim::World& w) {
+          run.inspect = [&j, this](sim::World& w) {
             j.probe = objective_.probe(w, j.spec);
           };
         }
-        const runner::ScenarioResult r = runner::run_scenario(
-            j.spec, /*capture_trace=*/false, nullptr, inspect);
+        const runner::ScenarioResult r = runner::run_scenario(j.spec, run);
         if (r.status != runner::ScenarioStatus::kDone) {
           j.out.failed = true;
           j.out.error = r.error.empty()
@@ -206,17 +205,6 @@ Json entry_json(const ScenarioSpace& space, const FrontierEntry& e,
 }
 
 }  // namespace
-
-// The ScenarioSpec round-trip lives in runner/grid (shared with the
-// experiment server's wire protocol); these wrappers keep the original
-// search-namespace API for frontier files and their tests.
-Json spec_to_json(const runner::ScenarioSpec& spec) {
-  return runner::spec_to_json(spec);
-}
-
-runner::ScenarioSpec spec_from_json(const Json& doc) {
-  return runner::spec_from_json(doc);
-}
 
 Json summary_row_json(const runner::ScenarioSpec& spec, double app_elapsed_s,
                       std::uint64_t app_iterations) {

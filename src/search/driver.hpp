@@ -95,12 +95,6 @@ struct SearchResult {
 /// failed point never enters the frontier yet still totally ordered.
 constexpr double kFailedObjective = -1e30;
 
-/// Serialization used by frontier entries and `hpas search --replay`:
-/// every ScenarioSpec field, seed as a decimal string (64-bit seeds do
-/// not survive JSON doubles).
-Json spec_to_json(const runner::ScenarioSpec& spec);
-runner::ScenarioSpec spec_from_json(const Json& doc);
-
 /// The sweep summary row this scenario would produce in a clean sweep
 /// (same members, same order as SweepResult::summary_json rows) -- the
 /// byte-level replay target.

@@ -446,8 +446,7 @@ void Server::run_admitted(std::uint64_t key) {
 
   runner::ScenarioResult result;
   try {
-    result = runner::run_scenario(spec, /*capture_trace=*/false,
-                                  &hard_cancel_);
+    result = runner::run_scenario(spec, {.cancel = &hard_cancel_});
   } catch (const CancelledError& e) {
     result.spec = spec;
     result.status = runner::ScenarioStatus::kCancelled;

@@ -280,11 +280,12 @@ TEST_F(CrashResumeTest, GracefulTokenDrainsAndResumeCompletes) {
 
   EXPECT_TRUE(drained.interrupted);
   EXPECT_FALSE(drained.ok());
-  // Nothing was interrupted mid-run -- a drain lets running scenarios
-  // finish -- so every slot is either done or never started.
+  // The drain was requested before the sweep, so it is seen before the
+  // first submission -- not left to the relay thread's first poll, which
+  // a fast grid can outrun -- and nothing starts.
+  EXPECT_EQ(drained.executed, 0u);
   for (const auto& s : drained.scenarios)
-    EXPECT_TRUE(s.status == ScenarioStatus::kDone ||
-                s.status == ScenarioStatus::kNotRun)
+    EXPECT_EQ(s.status, ScenarioStatus::kNotRun)
         << scenario_status_name(s.status);
 
   SweepOptions resume = options;

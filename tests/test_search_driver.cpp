@@ -355,10 +355,9 @@ TEST_F(SearchDriverTest, EvadeObjectiveTrainsIdenticallyAtAnyThreadCount) {
                                                   parallel.get()};
   for (std::size_t k = 0; k < 2; ++k) {
     const hpas::runner::ScenarioResult run = hpas::runner::run_scenario(
-        spec, /*capture_trace=*/false, nullptr,
-        [&](hpas::sim::World& world) {
+        spec, {.inspect = [&](hpas::sim::World& world) {
           probes[k] = objectives[k]->probe(world, spec);
-        });
+        }});
     ASSERT_EQ(run.status, hpas::runner::ScenarioStatus::kDone);
   }
   EXPECT_GE(probes[0], 0.0);

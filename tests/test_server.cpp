@@ -298,6 +298,50 @@ TEST_F(ServerTest, MalformedRequestsGetErrorFramesNotDisconnects) {
   server.stop();
 }
 
+TEST_F(ServerTest, InvalidWireSpecsGetErrorFramesAndTheDaemonKeepsServing) {
+  Server server(options());
+  server.start();
+  RawConn conn(options().socket_path);
+
+  // An app on zero nodes would reach the runner's node-stride division;
+  // validation refuses it at the wire, as it does an unknown system.
+  ScenarioSpec zero_nodes = quick_spec("zero-nodes", 1);
+  zero_nodes.app = "CoMD";
+  zero_nodes.app_nodes = 0;
+  conn.send(submit_request(11, zero_nodes));
+  const std::string zero = conn.recv_payload();
+  EXPECT_NE(zero.find("\"type\":\"error\""), std::string::npos) << zero;
+  EXPECT_NE(zero.find("\"id\":11"), std::string::npos) << zero;
+  EXPECT_NE(zero.find("app_nodes"), std::string::npos) << zero;
+
+  ScenarioSpec bogus = quick_spec("bogus-system", 2);
+  bogus.system = "bogus";
+  conn.send(submit_request(12, bogus));
+  const std::string unknown = conn.recv_payload();
+  EXPECT_NE(unknown.find("\"type\":\"error\""), std::string::npos)
+      << unknown;
+  EXPECT_NE(unknown.find("unknown system 'bogus'"), std::string::npos)
+      << unknown;
+
+  // Neither reached the engine, and real work still runs -- on this
+  // connection and on a new one.
+  conn.send(submit_request(13, quick_spec("valid", 3)));
+  EXPECT_NE(conn.recv_payload().find("\"accepted\""), std::string::npos);
+  const std::string result = conn.recv_payload();
+  EXPECT_NE(result.find("\"status\":\"done\""), std::string::npos)
+      << result;
+  RawConn second(options().socket_path);
+  Json ping = Json::object();
+  ping.set("op", "ping");
+  ping.set("id", 14);
+  second.send(ping);
+  EXPECT_NE(second.recv_payload().find("\"type\":\"pong\""),
+            std::string::npos);
+  EXPECT_EQ(server.stats().submissions, 1u);
+  EXPECT_EQ(server.stats().executed, 1u);
+  server.stop();
+}
+
 TEST_F(ServerTest, KilledDaemonRestartsAndServesJournaledResultsByteIdentically) {
   const ServerOptions opts = options();
   const std::vector<ScenarioSpec> specs = {quick_spec("k0", 10),

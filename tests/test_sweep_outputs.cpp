@@ -9,10 +9,12 @@
 #include <set>
 #include <string>
 
+#include "common/cancel.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "runner/grid.hpp"
 #include "runner/runner.hpp"
+#include "sim/world.hpp"
 
 namespace fs = std::filesystem;
 
@@ -153,6 +155,75 @@ TEST_F(SweepOutputsTest, ObstructedTargetThrowsAndRemovesTemporary) {
   // The CSVs written before the failure are complete files, not stubs.
   EXPECT_TRUE(fs::exists(dir_ / "scenario0.csv"));
   EXPECT_GT(fs::file_size(dir_ / "scenario0.csv"), 0u);
+}
+
+hpas::runner::ScenarioSpec valid_spec() {
+  hpas::runner::ScenarioSpec spec;
+  spec.name = "valid";
+  spec.app = "CoMD";
+  spec.duration_s = 3.0;
+  return spec;
+}
+
+TEST(ValidateSpec, RunScenarioRejectsAnUnknownSystem) {
+  hpas::runner::ScenarioSpec spec = valid_spec();
+  spec.system = "bogus";  // must not fall back to a default preset
+  EXPECT_THROW(hpas::runner::run_scenario(spec), hpas::ConfigError);
+}
+
+TEST(ValidateSpec, RunScenarioRejectsAnAppOnZeroNodes) {
+  hpas::runner::ScenarioSpec spec = valid_spec();
+  spec.app_nodes = 0;  // the app's node stride divides by app_nodes
+  EXPECT_THROW(hpas::runner::run_scenario(spec), hpas::ConfigError);
+}
+
+TEST(ValidateSpec, PlacementFieldsAreBothPolicyOrBothExplicit) {
+  hpas::runner::ScenarioSpec spec = valid_spec();
+  EXPECT_NO_THROW(hpas::runner::validate_spec(spec));
+  spec.anomaly_node = 2;
+  spec.anomaly_core = 5;
+  EXPECT_NO_THROW(hpas::runner::validate_spec(spec));
+  spec.anomaly_core = -1;
+  EXPECT_THROW(hpas::runner::validate_spec(spec), hpas::ConfigError);
+  spec.anomaly_node = -1;
+  spec.anomaly_core = 0;
+  EXPECT_THROW(hpas::runner::validate_spec(spec), hpas::ConfigError);
+}
+
+TEST(ValidateSpec, WireAndGridSpecsAreValidatedOnEntry) {
+  hpas::runner::ScenarioSpec spec = valid_spec();
+  spec.app_nodes = 0;
+  EXPECT_THROW(
+      hpas::runner::spec_from_json(hpas::runner::spec_to_json(spec)),
+      hpas::ConfigError);
+
+  hpas::Json grid = hpas::Json::object();
+  grid.set("system", "bogus");
+  try {
+    hpas::runner::expand_grid(grid);
+    FAIL() << "expand_grid accepted an unknown system";
+  } catch (const hpas::ConfigError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "grid: unknown system 'bogus' (expected voltrino, chameleon "
+              "or dragonfly1k)");
+  }
+}
+
+TEST(RunScenario, InspectSeesEveryRunThatStopsAtAnEventBoundary) {
+  // A cancelled run still hands its world to the hook, which is how
+  // hpas-sim exports the simulated prefix of an interrupted run.
+  hpas::CancelToken cancel;
+  cancel.cancel(hpas::CancelReason::kShutdown);
+  int calls = 0;
+  int nodes = 0;
+  const auto result = hpas::runner::run_scenario(
+      valid_spec(), {.cancel = &cancel, .inspect = [&](hpas::sim::World& w) {
+                       ++calls;
+                       nodes = w.num_nodes();
+                     }});
+  EXPECT_EQ(result.status, hpas::runner::ScenarioStatus::kCancelled);
+  EXPECT_EQ(calls, 1);
+  EXPECT_GT(nodes, 0);
 }
 
 }  // namespace
