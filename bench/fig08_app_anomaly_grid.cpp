@@ -65,20 +65,23 @@ int main() {
       std::max(4, hpas::runner::WorkStealingPool::default_thread_count());
 
   hpas::Stopwatch serial_watch;
-  const auto serial = hpas::runner::run_sweep(grid, {.threads = 1});
+  const auto serial = hpas::runner::run_sweep(grid, {{.threads = 1}});
   const double serial_s = serial_watch.elapsed_seconds();
 
   hpas::Stopwatch parallel_watch;
-  const auto parallel = hpas::runner::run_sweep(grid, {.threads = hw_threads});
+  const auto parallel =
+      hpas::runner::run_sweep(grid, {{.threads = hw_threads}});
   const double parallel_s = parallel_watch.elapsed_seconds();
 
   // Third sweep with per-scenario trace capture at the same thread count:
   // parallel_s vs traced_s is the tracing on/off overhead the BENCH_JSON
   // line records (disabled tracing must stay free; enabled capture of the
   // full event stream is expected to cost, and this quantifies it).
+  hpas::runner::SweepOptions traced_options;
+  traced_options.threads = hw_threads;
+  traced_options.capture_traces = true;
   hpas::Stopwatch traced_watch;
-  const auto traced = hpas::runner::run_sweep(
-      grid, {.threads = hw_threads, .capture_traces = true});
+  const auto traced = hpas::runner::run_sweep(grid, traced_options);
   const double traced_s = traced_watch.elapsed_seconds();
 
   if (!serial.ok() || !parallel.ok() || !traced.ok()) {

@@ -278,7 +278,7 @@ double bench_sweep_wall(double duration_s, bool full_recompute) {
     ::unsetenv("HPAS_FULL_RECOMPUTE");
   const auto start = Clock::now();
   const auto result =
-      hpas::runner::run_sweep(bench_grid(duration_s), {.threads = 1});
+      hpas::runner::run_sweep(bench_grid(duration_s), {{.threads = 1}});
   ::unsetenv("HPAS_FULL_RECOMPUTE");
   if (!result.ok()) {
     std::fprintf(stderr, "bench sweep failed: %s\n",

@@ -81,16 +81,6 @@ class ScopedShutdownSubscription {
   std::uint64_t id_;
 };
 
-/// Arms the process-wide fault-injection engine from a --fault-schedule
-/// flag. The flag wins over HPAS_FAULT_SCHEDULE (already armed by main);
-/// neither is ever part of scenario identity -- schedules shape I/O
-/// failures, not results.
-void arm_fault_schedule_flag(const hpas::ParsedArgs& args) {
-  if (args.has("fault-schedule"))
-    hpas::faultline::arm(hpas::faultline::FaultSchedule::load_file(
-        args.value("fault-schedule")));
-}
-
 /// Drain and abort tokens of the pool verbs. Static lifetime: the watcher
 /// thread may still dereference them while main unwinds after a signal
 /// near the end of a run.
@@ -113,19 +103,49 @@ ScopedShutdownSubscription drain_on_signal(const char* drain_message,
   });
 }
 
-/// A pool verb's -j: 0 means every hardware thread.
-int thread_flag(const hpas::ParsedArgs& args) {
-  const int threads = static_cast<int>(hpas::flag_u64(args, "threads"));
-  return threads == 0 ? hpas::runner::WorkStealingPool::default_thread_count()
-                      : threads;
+/// Most workers -j accepts: far above any host's core count, and low
+/// enough that a typo cannot ask the pool for billions of threads.
+constexpr std::uint64_t kMaxThreads = 1024;
+
+/// Declares the execution flags: -j on the pool verbs (sweep, search,
+/// dataset, serve) and --fault-schedule on those and on submit.
+hpas::CliParser& add_exec_flags(hpas::CliParser& parser, bool threads) {
+  if (threads)
+    parser.add({.long_name = "threads", .short_name = 'j', .value_name = "N",
+                .help = "worker threads, at most " +
+                        std::to_string(kMaxThreads) +
+                        "; 0 = all hardware threads",
+                .default_value = "0"});
+  return parser.add(
+      {.long_name = "fault-schedule", .short_name = '\0',
+       .value_name = "FILE",
+       .help = "arm a deterministic fault-injection schedule (chaos "
+               "testing; see DESIGN.md)",
+       .default_value = std::nullopt});
 }
 
-hpas::OptionSpec fault_schedule_flag() {
-  return {.long_name = "fault-schedule", .short_name = '\0',
-          .value_name = "FILE",
-          .help = "arm a deterministic fault-injection schedule (chaos "
-                  "testing; see DESIGN.md)",
-          .default_value = std::nullopt};
+/// Applies the execution flags. --fault-schedule arms the process-wide
+/// fault-injection engine, over HPAS_FAULT_SCHEDULE (armed by main);
+/// neither is ever part of scenario identity -- schedules shape I/O
+/// failures, not results. The returned options carry -j resolved (0 =
+/// every hardware thread) and the signal tokens.
+hpas::runner::ExecOptions exec_options(const hpas::ParsedArgs& args) {
+  if (args.has("fault-schedule"))
+    hpas::faultline::arm(hpas::faultline::FaultSchedule::load_file(
+        args.value("fault-schedule")));
+  hpas::runner::ExecOptions exec;
+  exec.graceful = &g_graceful;
+  exec.hard = &g_hard;
+  if (!args.has("threads")) return exec;
+  const std::uint64_t threads = hpas::flag_u64(args, "threads");
+  if (threads > kMaxThreads)
+    throw hpas::ConfigError("--threads: " + std::to_string(threads) +
+                            " is above the limit of " +
+                            std::to_string(kMaxThreads));
+  exec.threads = threads == 0
+                     ? hpas::runner::WorkStealingPool::default_thread_count()
+                     : static_cast<int>(threads);
+  return exec;
 }
 
 int run_schedule_command(const std::vector<std::string>& args) {
@@ -174,10 +194,7 @@ int run_sweep_command(const std::vector<std::string>& argv) {
   hpas::CliParser parser(
       "hpas sweep",
       "run a scenario grid through the deterministic parallel runner");
-  parser
-      .add({.long_name = "threads", .short_name = 'j', .value_name = "N",
-            .help = "worker threads; 0 = all hardware threads",
-            .default_value = "0"})
+  add_exec_flags(parser, /*threads=*/true)
       .add({.long_name = "out", .short_name = 'o', .value_name = "DIR",
             .help = "output directory (per-scenario CSVs + summary.json)",
             .default_value = "sweep-out"})
@@ -205,15 +222,16 @@ int run_sweep_command(const std::vector<std::string>& argv) {
     std::fputs(parser.help_text().c_str(), stdout);
     return 0;
   }
+  hpas::runner::SweepOptions options;
+  static_cast<hpas::runner::ExecOptions&>(options) = exec_options(args);
   if (args.positional().size() != 1) {
     std::fprintf(stderr, "usage: hpas sweep <grid.json> [-j N] [-o DIR]\n");
     return 2;
   }
 
   const auto grid = hpas::runner::load_grid_file(args.positional()[0]);
-  const int threads = thread_flag(args);
   std::printf("sweep '%s': %zu scenarios across %d threads\n",
-              grid.name.c_str(), grid.scenarios.size(), threads);
+              grid.name.c_str(), grid.scenarios.size(), options.threads);
 
   if (args.flag("dry-run")) {
     for (const auto& s : grid.scenarios)
@@ -228,17 +246,12 @@ int run_sweep_command(const std::vector<std::string>& argv) {
       "hard",
       /*hard=*/true);
 
-  hpas::runner::SweepOptions options;
-  options.threads = threads;
-  options.queue_capacity = 256;
   options.capture_traces = args.flag("trace");
   options.scenario_timeout_s =
       hpas::flag_duration_seconds(args, "scenario-timeout");
   options.deadline_s = hpas::flag_duration_seconds(args, "deadline");
   options.journal_path = out_dir + "/sweep.journal";
   options.resume = args.flag("resume");
-  options.graceful = &g_graceful;
-  options.hard = &g_hard;
 
   const auto result = hpas::runner::run_sweep(grid, options);
   // Outputs (including summary.json) are always written: a partial sweep
@@ -358,7 +371,7 @@ int run_search_command(const std::vector<std::string>& argv) {
   hpas::CliParser parser(
       "hpas search",
       "guided scenario-space search over the deterministic runner");
-  parser
+  add_exec_flags(parser, /*threads=*/true)
       .add({.long_name = "strategy", .short_name = 's', .value_name = "NAME",
             .help = "search strategy: random, anneal or bandit",
             .default_value = "anneal"})
@@ -377,9 +390,6 @@ int run_search_command(const std::vector<std::string>& argv) {
       .add({.long_name = "frontier", .short_name = '\0', .value_name = "N",
             .help = "ranked entries kept in frontier.json",
             .default_value = "8"})
-      .add({.long_name = "threads", .short_name = 'j', .value_name = "N",
-            .help = "worker threads; 0 = all hardware threads",
-            .default_value = "0"})
       .add({.long_name = "out", .short_name = 'o', .value_name = "DIR",
             .help = "output directory (frontier.json + search.journal)",
             .default_value = "search-out"})
@@ -415,6 +425,8 @@ int run_search_command(const std::vector<std::string>& argv) {
     std::fputs(parser.help_text().c_str(), stdout);
     return 0;
   }
+  hpas::search::SearchOptions options;
+  static_cast<hpas::runner::ExecOptions&>(options) = exec_options(args);
   if (args.has("replay")) return run_search_replay(args);
   if (args.positional().size() != 1) {
     std::fprintf(stderr,
@@ -435,18 +447,15 @@ int run_search_command(const std::vector<std::string>& argv) {
       "with --resume",
       /*hard=*/false);
 
-  hpas::search::SearchOptions options;
   options.strategy = args.value("strategy");
   options.objective = args.value("objective");
   options.budget = hpas::flag_u64(args, "budget");
   options.batch = hpas::flag_u64(args, "batch");
   options.frontier_size = hpas::flag_u64(args, "frontier");
-  options.threads = static_cast<int>(hpas::flag_u64(args, "threads"));
   options.journal_path = out_dir + "/search.journal";
   options.resume = args.flag("resume");
   options.minimize = args.flag("minimize");
   options.minimize_keep = hpas::flag_double(args, "keep");
-  options.graceful = &g_graceful;
 
   std::printf("search '%s': strategy=%s objective=%s budget=%zu seed=%llu\n",
               space.name().c_str(), options.strategy.c_str(),
@@ -496,7 +505,7 @@ int run_serve_command(const std::vector<std::string>& argv) {
   hpas::CliParser parser(
       "hpas serve",
       "long-running experiment daemon with a durable result cache");
-  parser
+  add_exec_flags(parser, /*threads=*/true)
       .add({.long_name = "data", .short_name = 'o', .value_name = "DIR",
             .help = "durable state: server.journal + result spool",
             .default_value = "serve-data"})
@@ -506,9 +515,6 @@ int run_serve_command(const std::vector<std::string>& argv) {
       .add({.long_name = "tcp", .short_name = '\0', .value_name = "PORT",
             .help = "also listen on 127.0.0.1:PORT (0 = ephemeral)",
             .default_value = std::nullopt})
-      .add({.long_name = "threads", .short_name = 'j', .value_name = "N",
-            .help = "worker threads; 0 = all hardware threads",
-            .default_value = "0"})
       .add({.long_name = "admit", .short_name = '\0', .value_name = "N",
             .help = "max outstanding scenarios before `busy` backpressure",
             .default_value = "64"})
@@ -527,22 +533,20 @@ int run_serve_command(const std::vector<std::string>& argv) {
             .value_name = "TIME",
             .help = "CRC-verify the spool this often, quarantining corrupt "
                     "entries (0 = off)",
-            .default_value = "0"})
-      .add(fault_schedule_flag());
+            .default_value = "0"});
   const auto args = parser.parse(argv);
   if (args.flag("help")) {
     std::fputs(parser.help_text().c_str(), stdout);
     return 0;
   }
-  arm_fault_schedule_flag(args);
 
   hpas::server::ServerOptions options;
+  options.threads = exec_options(args).threads;
   options.data_dir = args.value("data");
   options.socket_path = args.has("socket") ? args.value("socket")
                                            : options.data_dir + "/hpas.sock";
   if (args.has("tcp"))
     options.tcp_port = static_cast<int>(hpas::flag_u64(args, "tcp"));
-  options.threads = static_cast<int>(hpas::flag_u64(args, "threads"));
   options.admission_capacity =
       static_cast<std::size_t>(hpas::flag_u64(args, "admit"));
   options.io_timeout_s = hpas::flag_duration_seconds(args, "io-timeout");
@@ -595,7 +599,7 @@ int run_serve_command(const std::vector<std::string>& argv) {
 int run_submit_command(const std::vector<std::string>& argv) {
   hpas::CliParser parser(
       "hpas submit", "run a scenario grid through a running `hpas serve`");
-  parser
+  add_exec_flags(parser, /*threads=*/false)
       .add({.long_name = "socket", .short_name = 's', .value_name = "PATH",
             .help = "daemon's unix-domain socket",
             .default_value = "serve-data/hpas.sock"})
@@ -620,14 +624,13 @@ int run_submit_command(const std::vector<std::string>& argv) {
       .add({.long_name = "retry-seed", .short_name = '\0', .value_name = "S",
             .help = "jitter seed; the delay sequence is deterministic "
                     "per seed",
-            .default_value = "1"})
-      .add(fault_schedule_flag());
+            .default_value = "1"});
   const auto args = parser.parse(argv);
   if (args.flag("help")) {
     std::fputs(parser.help_text().c_str(), stdout);
     return 0;
   }
-  arm_fault_schedule_flag(args);
+  exec_options(args);  // arms --fault-schedule
 
   const double retry_base_ms =
       hpas::flag_duration_seconds(args, "retry-base") * 1000.0;
@@ -766,10 +769,7 @@ int run_dataset_command(const std::vector<std::string>& argv) {
       "hpas dataset",
       "generate a labeled ML dataset with streaming feature extraction, "
       "sharded CRC-framed output and a checksummed manifest");
-  parser
-      .add({.long_name = "threads", .short_name = 'j', .value_name = "N",
-            .help = "worker threads; 0 = all hardware threads",
-            .default_value = "0"})
+  add_exec_flags(parser, /*threads=*/true)
       .add({.long_name = "out", .short_name = 'o', .value_name = "DIR",
             .help = "dataset directory (shards + manifest.json + journal)",
             .default_value = "dataset-out"})
@@ -811,14 +811,13 @@ int run_dataset_command(const std::vector<std::string>& argv) {
             .default_value = std::nullopt})
       .add({.long_name = "variants", .short_name = '\0', .value_name = "N",
             .help = "--diagnosis: anomaly-intensity variants per app",
-            .default_value = "5"})
-      .add(fault_schedule_flag());
+            .default_value = "5"});
   const auto args = parser.parse(argv);
   if (args.flag("help")) {
     std::fputs(parser.help_text().c_str(), stdout);
     return 0;
   }
-  arm_fault_schedule_flag(args);
+  const hpas::runner::ExecOptions exec = exec_options(args);
   const std::string out_dir = args.value("out");
 
   if (args.flag("manifest-only")) {
@@ -882,26 +881,23 @@ int run_dataset_command(const std::vector<std::string>& argv) {
     }
   }
 
-  const int threads = thread_flag(args);
   std::printf("dataset '%s': %zu rows x %zu features, %llu shards, "
               "%d threads\n",
               plan.name.c_str(), plan.rows.size(), plan.feature_names.size(),
               static_cast<unsigned long long>(hpas::flag_u64(args, "shards")),
-              threads);
+              exec.threads);
 
   const auto on_signal = drain_on_signal(
       "draining in-flight rows (checkpointing); signal again to cancel hard",
       /*hard=*/true);
 
   hpas::dataset::DatasetFactoryOptions options;
+  static_cast<hpas::runner::ExecOptions&>(options) = exec;
   options.out_dir = out_dir;
   options.shards = static_cast<std::uint32_t>(hpas::flag_u64(args, "shards"));
-  options.threads = threads;
   options.checkpoint_rows = hpas::flag_u64(args, "checkpoint");
   options.resume = args.flag("resume");
   options.write_csv = args.flag("csv");
-  options.graceful = &g_graceful;
-  options.hard = &g_hard;
 
   const auto result = hpas::dataset::run_dataset_factory(plan, options);
   std::printf("dataset: %llu rows (%llu executed, %llu resumed), "

@@ -7,6 +7,11 @@
 // operation (run_scenario, the hpas-sim driver) which records the reason
 // and finalizes partial outputs. Cancellation is one-way and sticky: the
 // first reason wins, later cancels are no-ops.
+//
+// A token may have a parent (a sweep's token under the operator's abort
+// token, a scenario's token under the sweep's): it reads as cancelled
+// once it or any ancestor is, so one cancel() reaches every descendant
+// without anyone keeping a list of them.
 #pragma once
 
 #include <atomic>
@@ -34,6 +39,10 @@ inline const char* cancel_reason_name(CancelReason reason) {
 
 class CancelToken {
  public:
+  /// `parent` may be null and must outlive the token.
+  explicit CancelToken(const CancelToken* parent = nullptr) noexcept
+      : parent_(parent) {}
+
   /// Raises the token. The first call's reason sticks; subsequent calls
   /// are no-ops. Safe from any thread (and, being a pair of atomic
   /// stores, from signal-handler *watcher* threads -- though not from
@@ -47,16 +56,24 @@ class CancelToken {
     cancelled_.store(true, std::memory_order_release);
   }
 
+  /// This token's own flag or the parent's. Cancelling a token never
+  /// touches its parent.
   bool cancelled() const noexcept {
-    return cancelled_.load(std::memory_order_acquire);
+    return cancelled_.load(std::memory_order_acquire) ||
+           (parent_ != nullptr && parent_->cancelled());
   }
 
-  /// The reason of the first cancel(); kNone while not cancelled.
+  /// The reason of this token's first cancel() if there was one, else
+  /// the parent's; kNone while not cancelled.
   CancelReason reason() const noexcept {
-    return static_cast<CancelReason>(reason_.load(std::memory_order_relaxed));
+    const auto own =
+        static_cast<CancelReason>(reason_.load(std::memory_order_relaxed));
+    if (own != CancelReason::kNone || parent_ == nullptr) return own;
+    return parent_->reason();
   }
 
  private:
+  const CancelToken* parent_;
   std::atomic<bool> cancelled_{false};
   std::atomic<int> reason_{0};
 };

@@ -215,17 +215,10 @@ DatasetFactoryResult run_dataset_factory(const DatasetPlan& plan,
   std::atomic<std::size_t> peak{0};
   std::atomic<bool> interrupted{false};
 
-  const auto stop_requested = [&] {
-    return (options.graceful != nullptr && options.graceful->cancelled()) ||
-           (options.hard != nullptr && options.hard->cancelled());
-  };
-
-  runner::PoolOptions pool_options;
-  pool_options.threads = options.threads;
-  runner::WorkStealingPool pool(pool_options);
+  runner::WorkStealingPool pool({.threads = options.threads});
   const auto run_row = [&](std::size_t i) {
     if (writer.row_durable(i)) return;
-    if (stop_requested()) {
+    if (options.stop_requested()) {
       interrupted.store(true, std::memory_order_relaxed);
       return;
     }
@@ -257,7 +250,7 @@ DatasetFactoryResult run_dataset_factory(const DatasetPlan& plan,
   constexpr std::size_t kRowBlock = 2048;
   try {
     for (std::size_t base = 0; base < plan.rows.size(); base += kRowBlock) {
-      if (stop_requested()) {
+      if (options.stop_requested()) {
         interrupted.store(true, std::memory_order_relaxed);
         break;
       }
@@ -274,7 +267,7 @@ DatasetFactoryResult run_dataset_factory(const DatasetPlan& plan,
   result.rows_executed = executed.load();
   result.samples_seen = samples.load();
   result.peak_buffered_values = peak.load();
-  result.interrupted = interrupted.load() || stop_requested();
+  result.interrupted = interrupted.load() || options.stop_requested();
   const bool all_rows_written =
       result.rows_resumed + result.rows_executed == result.rows_total;
   if (!result.interrupted && all_rows_written) {

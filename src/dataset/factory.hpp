@@ -36,11 +36,10 @@
 #include <string>
 #include <vector>
 
-#include "common/cancel.hpp"
 #include "dataset/shards.hpp"
 #include "ml/dataset.hpp"
 #include "ml/diagnosis.hpp"
-#include "runner/grid.hpp"
+#include "runner/runner.hpp"
 
 namespace hpas::dataset {
 
@@ -101,19 +100,16 @@ DatasetPlan plan_from_grid(const runner::SweepGrid& grid, std::uint64_t rows,
                            double warmup_s, double noise,
                            bool include_bandwidth);
 
-struct DatasetFactoryOptions {
+/// A stop request (graceful or hard) starts no new rows and checkpoints
+/// what finished; a later --resume completes the dataset byte-identically.
+/// `hard` also cancels rows mid-simulation (their partial features are
+/// discarded, never written).
+struct DatasetFactoryOptions : runner::ExecOptions {
   std::string out_dir;
   std::uint32_t shards = 4;
-  int threads = 1;  ///< 0 = hardware concurrency
   std::uint64_t checkpoint_rows = 1024;
   bool resume = false;
   bool write_csv = false;
-  /// Drain request: stop starting new rows, checkpoint what finished.
-  /// A later --resume completes the dataset byte-identically.
-  const CancelToken* graceful = nullptr;
-  /// Abort request: additionally cancel rows mid-simulation (their
-  /// partial features are discarded, never written).
-  const CancelToken* hard = nullptr;
 };
 
 struct DatasetFactoryResult {

@@ -8,7 +8,6 @@
 #include <mutex>
 #include <optional>
 #include <sstream>
-#include <thread>
 #include <unordered_map>
 
 #include "apps/bsp_app.hpp"
@@ -317,85 +316,48 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& options) {
       {.threads = options.threads, .queue_capacity = options.queue_capacity});
 
   // --- cancellation plumbing -------------------------------------------
-  // Tokens of in-flight scenarios, by grid index. The relay thread fans a
-  // hard-cancel or deadline into every registered token; a task re-checks
-  // the flags right after registering so a cancel landing between "relay
-  // fanned out" and "task registered" is never lost.
-  std::mutex active_mu;
-  std::unordered_map<std::size_t, std::shared_ptr<CancelToken>> active;
-  std::atomic<bool> cancel_all{false};
-  std::atomic<int> cancel_all_reason{static_cast<int>(CancelReason::kNone)};
+  // Every scenario's token is a child of the sweep's, which is a child of
+  // the caller's hard token: an abort or the sweep deadline reaches every
+  // running scenario through one cancel(), and the watchdog's per-scenario
+  // timeout reaches just one. Queued scenarios check for a stop when they
+  // start, so a drain or abort leaves them kNotRun.
+  CancelToken sweep_token(options.hard);
+  const auto stop_requested = [&] {
+    return options.stop_requested() || sweep_token.cancelled();
+  };
   std::atomic<bool> interrupted{false};
 
-  auto cancel_active = [&](CancelReason reason) {
-    cancel_all_reason.store(static_cast<int>(reason),
-                            std::memory_order_relaxed);
-    cancel_all.store(true, std::memory_order_release);
-    std::lock_guard<std::mutex> lock(active_mu);
-    for (auto& [index, token] : active) token->cancel(reason);
-  };
-
+  // Declared after sweep_token, which its callbacks reference: the
+  // destructor joins the monitor thread before the token goes away.
   std::optional<Watchdog> watchdog;
-  if (options.scenario_timeout_s > 0.0) watchdog.emplace();
-
-  // External wall-clock conditions (shutdown tokens, the sweep deadline)
-  // become pool/token cancellations here. The submit loop polls before
-  // every submission, so a token that fired before the sweep started
-  // stops it before anything runs; afterwards the relay thread polls
-  // every 10ms, which keeps it dependency-free and bounds shutdown latency
-  // by the poll period plus one simulator event.
-  const auto start = std::chrono::steady_clock::now();
-  std::atomic<bool> drained{false};
-  std::atomic<bool> aborted{false};
-  auto poll_stop_requests = [&] {
-    if (options.graceful != nullptr && options.graceful->cancelled() &&
-        !drained.exchange(true)) {
-      interrupted.store(true, std::memory_order_relaxed);
-      pool.request_cancel();  // stop dequeuing; running tasks finish
-    }
-    const bool hard = options.hard != nullptr && options.hard->cancelled();
-    const bool past_deadline =
-        options.deadline_s > 0.0 &&
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-                .count() >= options.deadline_s;
-    if ((hard || past_deadline) && !aborted.exchange(true)) {
-      interrupted.store(true, std::memory_order_relaxed);
-      pool.request_cancel();
-      cancel_active(hard ? CancelReason::kShutdown : CancelReason::kDeadline);
-    }
-  };
-  std::atomic<bool> relay_stop{false};
-  std::thread relay;
-  if (options.deadline_s > 0.0 || options.graceful != nullptr ||
-      options.hard != nullptr) {
-    relay = std::thread([&] {
-      while (!relay_stop.load(std::memory_order_acquire)) {
-        poll_stop_requests();
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      }
+  if (options.scenario_timeout_s > 0.0 || options.deadline_s > 0.0)
+    watchdog.emplace();
+  if (options.deadline_s > 0.0)
+    watchdog->arm(options.deadline_s, [&sweep_token] {
+      sweep_token.cancel(CancelReason::kDeadline);
     });
-  }
 
   std::mutex journal_mu;
   std::atomic<std::size_t> executed{0};
   for (std::size_t i = 0; i < grid.scenarios.size(); ++i) {
     if (restored[i]) continue;
-    poll_stop_requests();
+    if (stop_requested()) {
+      interrupted.store(true, std::memory_order_relaxed);
+      break;
+    }
     if (pool.cancelled()) break;
     // Each task owns slot i exclusively; no result ordering depends on
     // scheduling, so thread count cannot leak into the output.
     pool.submit([&, i] {
-      auto token = std::make_shared<CancelToken>();
-      {
-        std::lock_guard<std::mutex> lock(active_mu);
-        active.emplace(i, token);
+      if (stop_requested()) {
+        interrupted.store(true, std::memory_order_relaxed);
+        return;
       }
-      if (cancel_all.load(std::memory_order_acquire))
-        token->cancel(static_cast<CancelReason>(
-            cancel_all_reason.load(std::memory_order_relaxed)));
+      // Shared with the watchdog callback, which may still be running
+      // after disarm() returns.
+      auto token = std::make_shared<CancelToken>(&sweep_token);
       std::uint64_t wd_id = 0;
-      if (watchdog)
+      if (options.scenario_timeout_s > 0.0)
         wd_id = watchdog->arm(options.scenario_timeout_s,
                               [token] { token->cancel(CancelReason::kTimeout); });
       const auto t0 = std::chrono::steady_clock::now();
@@ -411,11 +373,9 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& options) {
         slot.error = e.what();
         pool.request_cancel();
       }
-      if (watchdog) watchdog->disarm(wd_id);
-      {
-        std::lock_guard<std::mutex> lock(active_mu);
-        active.erase(i);
-      }
+      if (options.scenario_timeout_s > 0.0) watchdog->disarm(wd_id);
+      if (slot.status == ScenarioStatus::kCancelled)
+        interrupted.store(true, std::memory_order_relaxed);
       slot.wall_seconds =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
               .count();
@@ -437,8 +397,6 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& options) {
     });
   }
   pool.wait_idle();
-  relay_stop.store(true, std::memory_order_release);
-  if (relay.joinable()) relay.join();
 
   // Slots cancelled before starting keep ran == false; give them their
   // spec so reports stay readable.

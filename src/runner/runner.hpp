@@ -48,8 +48,26 @@ enum class ScenarioStatus : int {
 
 const char* scenario_status_name(ScenarioStatus status);
 
-struct SweepOptions {
-  int threads = 1;                   ///< 0 = hardware concurrency
+/// The execution contract every pool verb (sweep, search, dataset)
+/// shares: how many workers, and the two operator stop requests. The
+/// verb option structs derive from it.
+struct ExecOptions {
+  int threads = 1;  ///< pool workers; 0 = hardware concurrency
+  /// Drain request (first Ctrl-C): start no new work, let running work
+  /// finish and be journaled. Observed, never cancelled. May be null.
+  const CancelToken* graceful = nullptr;
+  /// Abort request (second Ctrl-C): additionally cancel running work
+  /// where the verb can (sweep scenarios, dataset rows). May be null.
+  const CancelToken* hard = nullptr;
+
+  /// Either token has fired.
+  bool stop_requested() const {
+    return (graceful != nullptr && graceful->cancelled()) ||
+           (hard != nullptr && hard->cancelled());
+  }
+};
+
+struct SweepOptions : ExecOptions {
   std::size_t queue_capacity = 256;  ///< backpressure bound
   bool capture_traces = false;       ///< record a per-scenario trace
   /// Wall-clock budget per scenario, seconds; 0 disables the watchdog.
@@ -62,17 +80,11 @@ struct SweepOptions {
   /// Path of the checkpoint journal (conventionally <out>/sweep.journal).
   /// Empty disables journaling; set, it also turns on incremental output
   /// writes (each completed scenario's files land before its record).
-  std::string journal_path;
+  /// (`= {}` keeps `{{.threads = N}}` clear of -Wmissing-field-initializers.)
+  std::string journal_path = {};
   /// With a journal: replay it first, restore scenarios whose on-disk
   /// outputs validate against their journaled digests, and run the rest.
   bool resume = false;
-  /// Drain request (first Ctrl-C): stop dequeuing new scenarios, let
-  /// running ones finish and be journaled. Observed, never cancelled, by
-  /// the sweep. May be null.
-  const CancelToken* graceful = nullptr;
-  /// Abort request (second Ctrl-C): additionally cancel running
-  /// scenarios cooperatively; they journal as cancelled. May be null.
-  const CancelToken* hard = nullptr;
 };
 
 struct ScenarioResult {

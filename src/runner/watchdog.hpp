@@ -1,10 +1,11 @@
 // Watchdog: one monitor thread enforcing many wall-clock deadlines.
 //
-// The sweep arms one timer per in-flight scenario (`--scenario-timeout`).
-// When a timer expires before being disarmed, the watchdog fires its
-// callback exactly once from the monitor thread -- the sweep's callback
-// cancels the scenario's CancelToken, and the simulator's cooperative
-// checkpoint turns that into a CancelledError at the next event boundary.
+// The sweep arms one timer per in-flight scenario (`--scenario-timeout`)
+// and one for the whole sweep (`--deadline`). When a timer expires before
+// being disarmed, the watchdog fires its callback exactly once from the
+// monitor thread -- the sweep's callbacks cancel the scenario's or the
+// sweep's CancelToken, and the simulator's cooperative checkpoint turns
+// that into a CancelledError at the next event boundary.
 // The watchdog never kills anything itself; it only rings the bell.
 #pragma once
 

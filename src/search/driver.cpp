@@ -272,10 +272,7 @@ SearchResult run_search(const ScenarioSpace& space,
   const std::unique_ptr<SearchStrategy> strategy =
       make_strategy(options.strategy, space, space.base_seed());
 
-  runner::PoolOptions pool_options;
-  pool_options.threads = threads;
-  pool_options.queue_capacity = options.queue_capacity;
-  runner::WorkStealingPool pool(pool_options);
+  runner::WorkStealingPool pool({.threads = threads});
 
   Evaluator evaluator(*objective, pool);
   evaluator.open_journal(options.journal_path, options.resume);
@@ -332,7 +329,7 @@ SearchResult run_search(const ScenarioSpace& space,
 
   std::size_t observed = 0;
   while (observed < options.budget) {
-    if (options.graceful && options.graceful->cancelled()) {
+    if (options.stop_requested()) {
       result.interrupted = true;
       break;
     }

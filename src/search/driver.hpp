@@ -28,22 +28,22 @@
 #include <string>
 #include <vector>
 
-#include "common/cancel.hpp"
 #include "common/json.hpp"
+#include "runner/runner.hpp"
 #include "search/objective.hpp"
 #include "search/space.hpp"
 
 namespace hpas::search {
 
-struct SearchOptions {
+/// `threads` sizes the evaluation pool. A stop request (graceful or
+/// hard) is honoured between batches: the running batch finishes.
+struct SearchOptions : runner::ExecOptions {
   std::string strategy = "anneal";  ///< random | anneal | bandit
   std::string objective = "max_degradation_per_intensity";
   std::size_t budget = 64;   ///< total proposals to evaluate
   std::size_t batch = 8;     ///< proposals per batch (a search parameter,
                              ///< NOT the thread count)
   std::size_t frontier_size = 8;
-  int threads = 1;           ///< pool workers; 0 = hardware concurrency
-  std::size_t queue_capacity = 256;
   /// Path of the evaluation journal (conventionally <out>/search.journal).
   /// Empty disables journaling (and with it crash safety).
   std::string journal_path;
@@ -54,8 +54,6 @@ struct SearchOptions {
   /// Minimizer threshold: shrunk configs must keep at least this fraction
   /// of the best objective value.
   double minimize_keep = 0.9;
-  /// Drain request: finish the running batch, then stop proposing.
-  const CancelToken* graceful = nullptr;
   /// Pre-built objective (tests inject small ones); when null, the driver
   /// calls make_objective(objective).
   std::shared_ptr<const Objective> objective_impl;
@@ -79,7 +77,7 @@ struct SearchResult {
   std::vector<FrontierEntry> frontier;  ///< ranked, best first
   bool has_minimized = false;
   FrontierEntry minimized;  ///< set when the minimizer ran
-  bool interrupted = false; ///< a graceful drain cut the search short
+  bool interrupted = false; ///< a stop request cut the search short
 
   std::size_t executed = 0;  ///< scenarios run this invocation
   std::size_t cached = 0;    ///< evaluations served from the journal

@@ -280,9 +280,8 @@ TEST_F(CrashResumeTest, GracefulTokenDrainsAndResumeCompletes) {
 
   EXPECT_TRUE(drained.interrupted);
   EXPECT_FALSE(drained.ok());
-  // The drain was requested before the sweep, so it is seen before the
-  // first submission -- not left to the relay thread's first poll, which
-  // a fast grid can outrun -- and nothing starts.
+  // The drain was requested before the sweep, so the stop check before
+  // the first submission sees it and nothing starts.
   EXPECT_EQ(drained.executed, 0u);
   for (const auto& s : drained.scenarios)
     EXPECT_EQ(s.status, ScenarioStatus::kNotRun)
@@ -335,6 +334,8 @@ TEST_F(CrashResumeTest, SweepDeadlineCutsTheGrid) {
                                            static_cast<std::uint64_t>(i)));
   SweepOptions options;
   options.threads = 1;
+  // The pool pops LIFO; one queue slot makes d0 start before d1 is queued.
+  options.queue_capacity = 1;
   options.deadline_s = 0.3;
 
   const auto start = std::chrono::steady_clock::now();
@@ -346,6 +347,59 @@ TEST_F(CrashResumeTest, SweepDeadlineCutsTheGrid) {
   EXPECT_TRUE(result.interrupted);
   EXPECT_FALSE(result.ok());
   EXPECT_LT(elapsed, 10.0);
+  // The deadline cancels the running scenario through its parent token;
+  // the queued ones see the stop when they start and never run.
+  EXPECT_EQ(result.executed, 1u);
+  EXPECT_EQ(result.scenarios[0].status, ScenarioStatus::kCancelled);
+  for (std::size_t i = 1; i < result.scenarios.size(); ++i)
+    EXPECT_EQ(result.scenarios[i].status, ScenarioStatus::kNotRun)
+        << scenario_status_name(result.scenarios[i].status);
+}
+
+TEST_F(CrashResumeTest, GracefulDrainAfterQueueingLeavesQueuedScenariosNotRun) {
+  SweepGrid grid = quick_grid(5);
+  grid.scenarios[0] = hung_scenario("stuck", 1);
+  CancelToken graceful;
+
+  SweepOptions options;
+  options.threads = 1;
+  // The pool pops LIFO; one queue slot makes "stuck" start before s1 is
+  // queued. s1 and s2 are queued before the drain, so only the stop check
+  // each task makes when it starts keeps them from running.
+  options.queue_capacity = 1;
+  options.scenario_timeout_s = 2.0;
+  options.journal_path = out("run") + "/sweep.journal";
+  options.graceful = &graceful;
+
+  std::thread drainer([&graceful] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    graceful.cancel(CancelReason::kShutdown);
+  });
+  const SweepResult drained = run_sweep(grid, options);
+  drainer.join();
+
+  EXPECT_TRUE(drained.interrupted);
+  EXPECT_EQ(drained.executed, 1u);
+  EXPECT_EQ(drained.scenarios[0].status, ScenarioStatus::kTimeout);
+  for (std::size_t i = 1; i < drained.scenarios.size(); ++i)
+    EXPECT_EQ(drained.scenarios[i].status, ScenarioStatus::kNotRun)
+        << drained.scenarios[i].spec.name << ": "
+        << scenario_status_name(drained.scenarios[i].status);
+  const auto read = read_journal(options.journal_path);
+  ASSERT_EQ(read.records.size(), 1u);
+  EXPECT_EQ(read.records[0].name, "stuck");
+  EXPECT_EQ(read.records[0].status, JournalStatus::kTimeout);
+
+  write_outputs(drained, out("run"));
+  SweepOptions resume = options;
+  resume.graceful = nullptr;
+  resume.scenario_timeout_s = 0.0;
+  resume.resume = true;
+  grid.scenarios[0] = quick_scenario("stuck", 1);  // the grid is fixed
+  const SweepResult resumed = run_sweep(grid, resume);
+  ASSERT_TRUE(resumed.ok()) << resumed.first_error();
+  EXPECT_FALSE(resumed.interrupted);
+  EXPECT_EQ(resumed.executed, 5u);
 }
 
 }  // namespace

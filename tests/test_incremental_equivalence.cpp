@@ -357,15 +357,15 @@ TEST(IncrementalEquivalence, SweepOutputDirectoryIsByteIdentical) {
 
   // Worlds read HPAS_FULL_RECOMPUTE at construction; single-threaded
   // sweeps keep the setenv/run/unsetenv sequence race-free.
+  hpas::runner::SweepOptions options;  // one thread
+  options.capture_traces = true;
   ::unsetenv("HPAS_FULL_RECOMPUTE");
-  const auto incremental = hpas::runner::run_sweep(
-      equivalence_grid(), {.threads = 1, .capture_traces = true});
+  const auto incremental = hpas::runner::run_sweep(equivalence_grid(), options);
   ASSERT_TRUE(incremental.ok()) << incremental.first_error();
   hpas::runner::write_outputs(incremental, inc_dir.string());
 
   ::setenv("HPAS_FULL_RECOMPUTE", "1", 1);
-  const auto full = hpas::runner::run_sweep(
-      equivalence_grid(), {.threads = 1, .capture_traces = true});
+  const auto full = hpas::runner::run_sweep(equivalence_grid(), options);
   ::unsetenv("HPAS_FULL_RECOMPUTE");
   ASSERT_TRUE(full.ok()) << full.first_error();
   hpas::runner::write_outputs(full, full_dir.string());

@@ -70,12 +70,14 @@ TEST(GridExpansion, SeedsAreCounterBasedNotSequential) {
 
 TEST(SweepDeterminism, ByteIdenticalAcrossThreadCounts) {
   const auto grid = expand_grid(small_grid_spec());
-  const auto serial = run_sweep(grid, {.threads = 1});
+  const auto serial = run_sweep(grid, {{.threads = 1}});
   ASSERT_TRUE(serial.ok()) << serial.first_error();
   const std::string reference = concat_outputs(serial);
   for (const int threads : {2, 5}) {
-    const auto parallel =
-        run_sweep(grid, {.threads = threads, .queue_capacity = 4});
+    SweepOptions options;
+    options.threads = threads;
+    options.queue_capacity = 4;  // submit backpressure
+    const auto parallel = run_sweep(grid, options);
     ASSERT_TRUE(parallel.ok()) << parallel.first_error();
     EXPECT_EQ(concat_outputs(parallel), reference)
         << "sweep diverged at " << threads << " threads";
@@ -84,8 +86,8 @@ TEST(SweepDeterminism, ByteIdenticalAcrossThreadCounts) {
 
 TEST(SweepDeterminism, RepeatedRunsAgree) {
   const auto grid = expand_grid(small_grid_spec());
-  const auto first = run_sweep(grid, {.threads = 3});
-  const auto second = run_sweep(grid, {.threads = 3});
+  const auto first = run_sweep(grid, {{.threads = 3}});
+  const auto second = run_sweep(grid, {{.threads = 3}});
   EXPECT_EQ(concat_outputs(first), concat_outputs(second));
 }
 
@@ -95,7 +97,8 @@ TEST(SweepDeterminism, RepeatedRunsAgree) {
 TEST(SweepDeterminism, MatchesGoldenFile) {
   const std::string path =
       std::string(HPAS_GOLDEN_DIR) + "/sweep_determinism_grid.txt";
-  const auto result = run_sweep(expand_grid(small_grid_spec()), {.threads = 2});
+  const auto result =
+      run_sweep(expand_grid(small_grid_spec()), {{.threads = 2}});
   ASSERT_TRUE(result.ok()) << result.first_error();
   const std::string actual = concat_outputs(result);
 
@@ -119,7 +122,8 @@ TEST(SweepDeterminism, MatchesGoldenFile) {
 }
 
 TEST(SweepDeterminism, SummaryCarriesSeedsAndStats) {
-  const auto result = run_sweep(expand_grid(small_grid_spec()), {.threads = 2});
+  const auto result =
+      run_sweep(expand_grid(small_grid_spec()), {{.threads = 2}});
   const Json summary = result.summary_json();
   EXPECT_EQ(summary.find("grid")->as_string(), "determinism_grid");
   EXPECT_EQ(summary.number_or("scenario_count", 0.0), 16.0);

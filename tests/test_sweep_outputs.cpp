@@ -64,7 +64,7 @@ class SweepOutputsTest : public ::testing::Test {
 };
 
 TEST_F(SweepOutputsTest, WritesAllFilesAndLeavesNoTemporaries) {
-  const auto result = hpas::runner::run_sweep(tiny_grid(), {.threads = 2});
+  const auto result = hpas::runner::run_sweep(tiny_grid(), {{.threads = 2}});
   ASSERT_TRUE(result.ok()) << result.first_error();
   hpas::runner::write_outputs(result, dir_.string());
 
@@ -78,8 +78,9 @@ TEST_F(SweepOutputsTest, WritesAllFilesAndLeavesNoTemporaries) {
 }
 
 TEST_F(SweepOutputsTest, CapturedTracesLandNextToTheCsvs) {
-  const auto result = hpas::runner::run_sweep(
-      tiny_grid(), {.threads = 1, .capture_traces = true});
+  hpas::runner::SweepOptions options;  // one thread
+  options.capture_traces = true;
+  const auto result = hpas::runner::run_sweep(tiny_grid(), options);
   ASSERT_TRUE(result.ok()) << result.first_error();
   hpas::runner::write_outputs(result, dir_.string());
   const auto names = list_dir(dir_);
@@ -92,8 +93,8 @@ TEST_F(SweepOutputsTest, FailedScenariosProduceNoPartialFiles) {
   // Scenario 1 throws inside run_scenario and cancel-on-first-failure may
   // skip scenario 0 entirely; write_outputs must emit files only for
   // scenarios that completed, never a partial or temporary one.
-  const auto result =
-      hpas::runner::run_sweep(tiny_grid(/*with_failure=*/true), {.threads = 1});
+  const auto result = hpas::runner::run_sweep(tiny_grid(/*with_failure=*/true),
+                                              {{.threads = 1}});
   ASSERT_FALSE(result.ok());
   hpas::runner::write_outputs(result, dir_.string());
   const auto names = list_dir(dir_);
@@ -119,7 +120,7 @@ TEST_F(SweepOutputsTest, InjectorKeysAreOptionalInSummaryRows) {
   grid.scenarios[0].anomaly = "cpuoccupy";
   grid.scenarios[0].injector_fail_at_s = 1.5;
   grid.scenarios[0].injector_fail_tasks = 2;
-  const auto result = hpas::runner::run_sweep(grid, {.threads = 1});
+  const auto result = hpas::runner::run_sweep(grid, {{.threads = 1}});
   ASSERT_TRUE(result.ok()) << result.first_error();
 
   const hpas::Json summary =
@@ -141,7 +142,7 @@ TEST_F(SweepOutputsTest, InjectorKeysAreOptionalInSummaryRows) {
 }
 
 TEST_F(SweepOutputsTest, ObstructedTargetThrowsAndRemovesTemporary) {
-  const auto result = hpas::runner::run_sweep(tiny_grid(), {.threads = 1});
+  const auto result = hpas::runner::run_sweep(tiny_grid(), {{.threads = 1}});
   ASSERT_TRUE(result.ok()) << result.first_error();
 
   // A directory squatting on summary.json's path makes the final rename
