@@ -8,7 +8,7 @@
 // and the trace streams must agree bit for bit (the replay guarantee,
 // checked here on a real figure workload, not just unit fixtures). Set
 // HPAS_TRACE_OUT=<prefix> to dump <prefix>.memleak.bin /
-// <prefix>.memeater.bin for chrome://tracing conversion or trace_diff.
+// <prefix>.memeater.bin for trace_diff.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>

@@ -29,15 +29,6 @@ CacheLevel parse_cache_level(const std::string& text) {
   throw ConfigError("unknown cache level '" + text + "' (expected L1/L2/L3)");
 }
 
-const char* cache_level_name(CacheLevel level) {
-  switch (level) {
-    case CacheLevel::kL1: return "L1";
-    case CacheLevel::kL2: return "L2";
-    case CacheLevel::kL3: return "L3";
-  }
-  return "?";
-}
-
 std::uint64_t CacheTopology::level_bytes(CacheLevel level) const {
   switch (level) {
     case CacheLevel::kL1: return l1_bytes;

@@ -17,8 +17,6 @@ enum class CacheLevel { kL1 = 1, kL2 = 2, kL3 = 3 };
 /// Parses "L1"/"l1"/"1" etc.; throws ConfigError on anything else.
 CacheLevel parse_cache_level(const std::string& text);
 
-const char* cache_level_name(CacheLevel level);
-
 struct CacheTopology {
   std::uint64_t l1_bytes = 32ULL * 1024;          ///< L1d, per core
   std::uint64_t l2_bytes = 256ULL * 1024;         ///< per core

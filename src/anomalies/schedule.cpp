@@ -78,11 +78,6 @@ Schedule parse_schedule(std::istream& in) {
   return schedule;
 }
 
-Schedule parse_schedule_text(const std::string& text) {
-  std::istringstream in(text);
-  return parse_schedule(in);
-}
-
 Schedule load_schedule_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw SystemError("cannot open schedule file: " + path);

@@ -40,7 +40,6 @@ struct Schedule {
 /// Parses the schedule text format. Throws ConfigError with the line
 /// number on malformed input (unknown anomaly, bad time, missing "at").
 Schedule parse_schedule(std::istream& in);
-Schedule parse_schedule_text(const std::string& text);
 Schedule load_schedule_file(const std::string& path);
 
 /// Per-entry outcome of a composite run.

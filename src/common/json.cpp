@@ -257,21 +257,6 @@ const Json::Array& Json::as_array() const {
   return array_;
 }
 
-const Json::Object& Json::as_object() const {
-  if (type_ != Type::kObject) type_error("object", type_);
-  return object_;
-}
-
-Json::Array& Json::as_array() {
-  if (type_ != Type::kArray) type_error("array", type_);
-  return array_;
-}
-
-Json::Object& Json::as_object() {
-  if (type_ != Type::kObject) type_error("object", type_);
-  return object_;
-}
-
 const Json* Json::find(std::string_view key) const {
   if (type_ != Type::kObject) return nullptr;
   for (const auto& [k, v] : object_)
@@ -362,19 +347,6 @@ std::string Json::dump(int indent) const {
   write(out, indent, 0);
   if (indent >= 0) out.push_back('\n');
   return out;
-}
-
-bool Json::operator==(const Json& other) const {
-  if (type_ != other.type_) return false;
-  switch (type_) {
-    case Type::kNull: return true;
-    case Type::kBool: return bool_ == other.bool_;
-    case Type::kNumber: return number_ == other.number_;
-    case Type::kString: return string_ == other.string_;
-    case Type::kArray: return array_ == other.array_;
-    case Type::kObject: return object_ == other.object_;
-  }
-  return false;
 }
 
 }  // namespace hpas

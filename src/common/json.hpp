@@ -55,9 +55,6 @@ class Json {
   double as_number() const;
   const std::string& as_string() const;
   const Array& as_array() const;
-  const Object& as_object() const;
-  Array& as_array();
-  Object& as_object();
 
   /// Object lookup; nullptr when absent (or not an object).
   const Json* find(std::string_view key) const;
@@ -82,8 +79,6 @@ class Json {
   /// indent >= 0 => pretty-printed with that many spaces per level and a
   /// trailing newline at top level.
   std::string dump(int indent = -1) const;
-
-  bool operator==(const Json& other) const;
 
  private:
   void write(std::string& out, int indent, int depth) const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -55,7 +56,6 @@ Summary summarize(std::span<const double> xs) {
 }
 
 double mean(std::span<const double> xs) { return summarize(xs).mean; }
-double variance(std::span<const double> xs) { return summarize(xs).variance; }
 double stddev(std::span<const double> xs) { return summarize(xs).stddev; }
 
 double percentile(std::span<const double> xs, double pct) {
@@ -89,100 +89,5 @@ double index_slope(std::span<const double> xs) {
   }
   return sxy / sxx;
 }
-
-double correlation(std::span<const double> xs, std::span<const double> ys) {
-  require(xs.size() == ys.size(), "correlation: size mismatch");
-  const std::size_t n = xs.size();
-  if (n < 2) return 0.0;
-  const double mx = mean(xs);
-  const double my = mean(ys);
-  double sxy = 0.0, sxx = 0.0, syy = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double dx = xs[i] - mx;
-    const double dy = ys[i] - my;
-    sxy += dx * dy;
-    sxx += dx * dx;
-    syy += dy * dy;
-  }
-  if (sxx == 0.0 || syy == 0.0) return 0.0;
-  return sxy / std::sqrt(sxx * syy);
-}
-
-void OnlineStats::add(double x) {
-  if (n_ == 0) {
-    min_ = x;
-    max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-void OnlineStats::merge(const OnlineStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-double OnlineStats::variance() const {
-  return n_ >= 2 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double OnlineStats::stddev() const { return std::sqrt(variance()); }
-
-Ewma::Ewma(double alpha) : alpha_(alpha) {
-  require(alpha > 0.0 && alpha <= 1.0, "Ewma: alpha must be in (0,1]");
-}
-
-void Ewma::add(double x) {
-  if (!initialized_) {
-    value_ = x;
-    initialized_ = true;
-  } else {
-    value_ = alpha_ * x + (1.0 - alpha_) * value_;
-  }
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  require(hi > lo, "Histogram: hi must be > lo");
-  require(bins > 0, "Histogram: need at least one bin");
-}
-
-void Histogram::add(double x) {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto idx = static_cast<std::ptrdiff_t>(std::floor((x - lo_) / width));
-  idx = std::clamp<std::ptrdiff_t>(idx, 0,
-                                   static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-std::size_t Histogram::bin_count(std::size_t i) const {
-  require(i < counts_.size(), "Histogram: bin index out of range");
-  return counts_[i];
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(i);
-}
-
-double Histogram::bin_hi(std::size_t i) const { return bin_lo(i + 1); }
 
 }  // namespace hpas

@@ -1,13 +1,12 @@
-// Descriptive statistics and small numeric utilities.
+// Descriptive statistics over a sample of doubles.
 //
 // These back two parts of HPAS: (1) the ML diagnosis pipeline extracts
 // statistical features from monitoring time series (paper Sec. 5.1), and
-// (2) the bench harnesses summarize repeated measurements.
+// (2) the runner and bench harnesses summarize repeated measurements.
 #pragma once
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 namespace hpas {
 
@@ -29,7 +28,6 @@ struct Summary {
 Summary summarize(std::span<const double> xs);
 
 double mean(std::span<const double> xs);
-double variance(std::span<const double> xs);  ///< sample variance
 double stddev(std::span<const double> xs);
 
 /// Percentile in [0, 100] via linear interpolation between closest ranks
@@ -44,65 +42,5 @@ double median(std::span<const double> xs);
 /// monotone drift that distinguishes memleak's growing footprint from
 /// memeater's flat one. Returns 0 for fewer than two points.
 double index_slope(std::span<const double> xs);
-
-/// Pearson correlation; returns 0 when either side has zero variance.
-double correlation(std::span<const double> xs, std::span<const double> ys);
-
-/// Welford online accumulator: numerically stable running mean/variance.
-class OnlineStats {
- public:
-  void add(double x);
-  void merge(const OnlineStats& other);  ///< parallel-merge (Chan et al.)
-
-  std::size_t count() const { return n_; }
-  double mean() const { return n_ > 0 ? mean_ : 0.0; }
-  double variance() const;  ///< sample variance
-  double stddev() const;
-  double min() const { return min_; }
-  double max() const { return max_; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
-/// Exponentially weighted moving average, used by the WBAS policy's
-/// five-minute load average (paper Sec. 5.2).
-class Ewma {
- public:
-  /// alpha in (0, 1]: weight of the newest observation.
-  explicit Ewma(double alpha);
-
-  void add(double x);
-  double value() const { return value_; }
-  bool empty() const { return !initialized_; }
-
- private:
-  double alpha_;
-  double value_ = 0.0;
-  bool initialized_ = false;
-};
-
-/// Fixed-bin histogram over [lo, hi); values outside are clamped into the
-/// first/last bin so no sample is lost.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t bin_count(std::size_t i) const;
-  std::size_t bins() const { return counts_.size(); }
-  std::size_t total() const { return total_; }
-  double bin_lo(std::size_t i) const;
-  double bin_hi(std::size_t i) const;
-
- private:
-  double lo_, hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
 
 }  // namespace hpas

@@ -109,36 +109,6 @@ double parse_duration_seconds(std::string_view text) {
                     std::string(text) + "'");
 }
 
-std::string format_bytes(std::uint64_t bytes) {
-  char buf[32];
-  const auto b = static_cast<double>(bytes);
-  if (bytes >= kGiB) {
-    std::snprintf(buf, sizeof buf, "%.2fGiB", b / static_cast<double>(kGiB));
-  } else if (bytes >= kMiB) {
-    std::snprintf(buf, sizeof buf, "%.2fMiB", b / static_cast<double>(kMiB));
-  } else if (bytes >= kKiB) {
-    std::snprintf(buf, sizeof buf, "%.2fKiB", b / static_cast<double>(kKiB));
-  } else {
-    std::snprintf(buf, sizeof buf, "%lluB", static_cast<unsigned long long>(bytes));
-  }
-  return buf;
-}
-
-std::string format_rate(double bytes_per_second) {
-  char buf[40];
-  const double b = bytes_per_second;
-  if (b >= static_cast<double>(kGiB)) {
-    std::snprintf(buf, sizeof buf, "%.2fGiB/s", b / static_cast<double>(kGiB));
-  } else if (b >= static_cast<double>(kMiB)) {
-    std::snprintf(buf, sizeof buf, "%.2fMiB/s", b / static_cast<double>(kMiB));
-  } else if (b >= static_cast<double>(kKiB)) {
-    std::snprintf(buf, sizeof buf, "%.2fKiB/s", b / static_cast<double>(kKiB));
-  } else {
-    std::snprintf(buf, sizeof buf, "%.1fB/s", b);
-  }
-  return buf;
-}
-
 std::string format_seconds(double seconds) {
   char buf[32];
   if (seconds < 1e-3) {

@@ -1,4 +1,4 @@
-// Byte-size / rate / percentage parsing and formatting.
+// Byte-size / percentage / duration parsing, and duration formatting.
 //
 // The native anomaly generators take human-shaped CLI values ("35M",
 // "100MB", "2.5G", "80%"), mirroring the knobs in Table 1 of the paper
@@ -34,12 +34,6 @@ std::uint64_t parse_u64(std::string_view text);
 /// Parses a duration: "30" (seconds), "30s", "5m", "2h", "250ms".
 /// Returns seconds. Throws ConfigError on malformed input.
 double parse_duration_seconds(std::string_view text);
-
-/// Formats a byte count with a binary suffix: 1536 -> "1.50KiB".
-std::string format_bytes(std::uint64_t bytes);
-
-/// Formats a rate in bytes/second with a binary suffix: "2.31GiB/s".
-std::string format_rate(double bytes_per_second);
 
 /// Formats seconds compactly: 0.0042 -> "4.20ms", 95 -> "95.0s".
 std::string format_seconds(double seconds);

@@ -27,24 +27,7 @@ StreamingFeatureExtractor::StreamingFeatureExtractor(
   }
 }
 
-void StreamingFeatureExtractor::fold(Slot& slot, double value) {
-  // Same left-fold as common/stats summarize(): sum, min, max in arrival
-  // order (so sum/count is bit-equal to the batch mean), plus Welford's
-  // online (mean, M2) for the O(1) variance summary.
-  SeriesStats& s = slot.stats;
-  if (s.count == 0) {
-    s.min = value;
-    s.max = value;
-  } else {
-    s.min = std::min(s.min, value);
-    s.max = std::max(s.max, value);
-  }
-  s.sum += value;
-  ++s.count;
-  const double delta = value - s.mean;
-  s.mean += delta / static_cast<double>(s.count);
-  s.m2 += delta * (value - s.mean);
-
+void StreamingFeatureExtractor::buffer(Slot& slot, double value) {
   slot.window.push_back(value);
   ++buffered_;
   peak_buffered_ = std::max(peak_buffered_, buffered_);
@@ -65,7 +48,7 @@ void StreamingFeatureExtractor::on_sample(const metrics::MetricId& id,
   ++samples_in_window_;
   Slot& slot = slots_[it->second];
   if (slot.gauge) {
-    fold(slot, value);
+    buffer(slot, value);
     return;
   }
   // Counter: difference into per-interval rates, reproducing the batch
@@ -80,7 +63,7 @@ void StreamingFeatureExtractor::on_sample(const metrics::MetricId& id,
   }
   const double diff = value - slot.prev;
   slot.prev = value;
-  fold(slot, diff);
+  buffer(slot, diff);
 }
 
 std::vector<double> StreamingFeatureExtractor::finalize(Rng* noise_rng) {
@@ -90,7 +73,7 @@ std::vector<double> StreamingFeatureExtractor::finalize(Rng* noise_rng) {
   features.reserve(slots_.size() * metrics::features_per_metric());
   std::vector<double> single(1);
   for (Slot& slot : slots_) {
-    // A counter with exactly one in-window sample never reaches fold()
+    // A counter with exactly one in-window sample never reaches buffer()
     // (differencing needs two); the batch extractor keeps the raw value.
     std::vector<double>* window = &slot.window;
     if (!slot.gauge && slot.has_first && slot.window.empty()) {
@@ -112,7 +95,6 @@ void StreamingFeatureExtractor::reset() {
     slot.first = 0.0;
     slot.prev = 0.0;
     slot.window.clear();  // keeps capacity: no steady-state allocation
-    slot.stats = SeriesStats{};
   }
   samples_seen_ = 0;
   samples_in_window_ = 0;
@@ -120,13 +102,6 @@ void StreamingFeatureExtractor::reset() {
   samples_other_metrics_ = 0;
   buffered_ = 0;
   finalized_ = false;
-}
-
-const StreamingFeatureExtractor::SeriesStats&
-StreamingFeatureExtractor::series_stats(std::size_t metric_index) const {
-  require(metric_index < slots_.size(),
-          "StreamingFeatureExtractor: metric index out of range");
-  return slots_[metric_index].stats;
 }
 
 }  // namespace hpas::dataset

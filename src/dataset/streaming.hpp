@@ -5,13 +5,9 @@
 // calls ml::extract_window_features over it. This extractor is the
 // streaming replacement: it consumes the monitoring sample stream
 // incrementally (as a metrics::SampleSink) and keeps, per feature
-// metric, only
-//
-//   * online left-fold accumulators -- count, sum, min, max and a
-//     Welford (mean, M2) pair -- updated in O(1) per sample, and
-//   * the in-window, post-differencing value buffer: the deterministic
-//     "sketch" from which rank statistics (percentiles) and the
-//     two-pass central moments are computed at finalize().
+// metric, only the in-window, post-differencing value buffer: the
+// deterministic "sketch" from which rank statistics (percentiles) and
+// the two-pass central moments are computed at finalize().
 //
 // Out-of-window samples and non-feature metrics cost O(1) (a counter
 // bump), so peak memory is O(feature_metrics x window_samples) --
@@ -73,20 +69,6 @@ class StreamingFeatureExtractor final : public metrics::SampleSink {
   /// capacity (no steady-state allocation when reused across rows).
   void reset();
 
-  /// Online left-fold summary of one metric's in-window, post-diff
-  /// series. sum/min/max fold in arrival order exactly like the batch
-  /// Summary pass, so sum/n is bit-equal to the batch mean; (mean, m2)
-  /// are Welford-updated online moments (variance ~ m2/(n-1)).
-  struct SeriesStats {
-    std::uint64_t count = 0;
-    double sum = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-    double mean = 0.0;  ///< Welford running mean
-    double m2 = 0.0;    ///< Welford sum of squared deviations
-  };
-  const SeriesStats& series_stats(std::size_t metric_index) const;
-
   std::size_t num_metrics() const { return slots_.size(); }
   /// Stream accounting (window counters): everything the sink saw.
   std::uint64_t samples_seen() const { return samples_seen_; }
@@ -109,10 +91,9 @@ class StreamingFeatureExtractor final : public metrics::SampleSink {
     double prev = 0.0;   ///< last counter sample, for differencing
     /// Gauges: raw in-window values. Counters: first differences.
     std::vector<double> window;
-    SeriesStats stats;
   };
 
-  void fold(Slot& slot, double value);
+  void buffer(Slot& slot, double value);
 
   StreamingExtractorConfig config_;
   std::vector<Slot> slots_;

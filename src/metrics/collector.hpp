@@ -38,7 +38,7 @@ class Collector {
   /// store. Non-owning; nullptr detaches.
   void set_sink(SampleSink* sink) { sink_ = sink; }
 
-  /// When disabled, collect() skips MetricStore::record entirely -- the
+  /// When disabled, collect() skips the store entirely -- the
   /// store stays empty and per-collector memory stays O(1). Used by the
   /// streaming dataset path; storage is on by default.
   void set_store_enabled(bool enabled) { store_enabled_ = enabled; }

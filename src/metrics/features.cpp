@@ -33,28 +33,4 @@ std::vector<double> extract_series_features(std::span<const double> values) {
   };
 }
 
-std::vector<double> extract_features(const MetricStore& store,
-                                     const std::vector<MetricId>& ids,
-                                     double t0, double t1,
-                                     std::vector<std::string>* feature_names) {
-  std::vector<double> features;
-  features.reserve(ids.size() * features_per_metric());
-  if (feature_names != nullptr) {
-    feature_names->clear();
-    feature_names->reserve(ids.size() * features_per_metric());
-  }
-  for (const auto& id : ids) {
-    std::vector<double> window;
-    if (store.contains(id)) window = store.series(id).values_between(t0, t1);
-    const auto series_features = extract_series_features(window);
-    features.insert(features.end(), series_features.begin(),
-                    series_features.end());
-    if (feature_names != nullptr) {
-      for (const auto& stat : feature_statistic_names())
-        feature_names->push_back(id.full_name() + "#" + stat);
-    }
-  }
-  return features;
-}
-
 }  // namespace hpas::metrics

@@ -8,10 +8,9 @@
 // separates memleak's monotone growth from memeater's flat plateau).
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
-
-#include "metrics/store.hpp"
 
 namespace hpas::metrics {
 
@@ -23,15 +22,5 @@ std::size_t features_per_metric();
 
 /// Extracts the feature vector for one series window.
 std::vector<double> extract_series_features(std::span<const double> values);
-
-/// Extracts a flat feature vector for a whole store: for each metric id
-/// (sorted by full name -- deterministic), the per-series statistics over
-/// values in [t0, t1). Metrics missing from the window contribute zeros so
-/// vectors from different runs align.
-///
-/// `feature_names` (optional out) receives "metric::sampler#stat" labels.
-std::vector<double> extract_features(
-    const MetricStore& store, const std::vector<MetricId>& ids, double t0,
-    double t1, std::vector<std::string>* feature_names = nullptr);
 
 }  // namespace hpas::metrics

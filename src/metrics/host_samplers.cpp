@@ -39,48 +39,6 @@ const std::vector<Sample>& ProcStatSampler::sample() {
   throw SystemError("no aggregate cpu line in " + path_);
 }
 
-MemInfoSampler::MemInfoSampler(std::string path) : path_(std::move(path)) {}
-
-const std::vector<Sample>& MemInfoSampler::sample() {
-  std::ifstream in(path_);
-  if (!in) throw SystemError("cannot open " + path_);
-  samples_.clear();
-  std::string line;
-  while (std::getline(in, line)) {
-    std::istringstream ls(line);
-    std::string key;
-    double kb = 0;
-    ls >> key >> kb;
-    if (!key.empty() && key.back() == ':') key.pop_back();
-    if (key == "MemTotal") samples_.push_back({{"MemTotal", name()}, kb});
-    if (key == "MemFree") samples_.push_back({{"Memfree", name()}, kb});
-    if (key == "Cached") samples_.push_back({{"Cached", name()}, kb});
-    if (key == "Active") samples_.push_back({{"Active", name()}, kb});
-  }
-  require(!samples_.empty(), "no recognized fields in " + path_);
-  return samples_;
-}
-
-VmStatSampler::VmStatSampler(std::string path) : path_(std::move(path)) {}
-
-const std::vector<Sample>& VmStatSampler::sample() {
-  std::ifstream in(path_);
-  if (!in) throw SystemError("cannot open " + path_);
-  samples_.clear();
-  std::string line;
-  while (std::getline(in, line)) {
-    std::istringstream ls(line);
-    std::string key;
-    double value = 0;
-    ls >> key >> value;
-    if (key == "pgfault" || key == "pgmajfault" || key == "pgpgin" ||
-        key == "pgpgout") {
-      samples_.push_back({{key, name()}, value});
-    }
-  }
-  return samples_;
-}
-
 double cpu_utilization_between(const std::vector<Sample>& before,
                                const std::vector<Sample>& after) {
   const double busy_before = find_sample(before, "user") +

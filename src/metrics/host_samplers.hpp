@@ -1,8 +1,7 @@
-// Samplers that read the real host's /proc, mirroring LDMS's procstat,
-// meminfo and vmstat plugins. These power the native spot-checks (e.g.
-// verifying that the real cpuoccupy generator consumes the requested CPU
-// percentage, paper Fig. 2) and make the monitoring layer usable outside
-// the simulator.
+// A sampler that reads the real host's /proc/stat, mirroring LDMS's
+// procstat plugin. It powers the native spot-check that the real
+// cpuoccupy generator consumes the requested CPU percentage (paper
+// Fig. 2).
 #pragma once
 
 #include <string>
@@ -20,35 +19,6 @@ class ProcStatSampler final : public Sampler {
   explicit ProcStatSampler(std::string path = "/proc/stat");
 
   std::string name() const override { return "procstat"; }
-  const std::vector<Sample>& sample() override;
-
- private:
-  std::string path_;
-  std::vector<Sample> samples_;
-};
-
-/// Reads /proc/meminfo. Metrics: MemTotal, Memfree, Cached, Active (kB).
-/// Note "Memfree" (not "MemFree") -- the paper's WBAS case study references
-/// the metric as "Memfree::meminfo", so we keep that spelling.
-class MemInfoSampler final : public Sampler {
- public:
-  explicit MemInfoSampler(std::string path = "/proc/meminfo");
-
-  std::string name() const override { return "meminfo"; }
-  const std::vector<Sample>& sample() override;
-
- private:
-  std::string path_;
-  std::vector<Sample> samples_;
-};
-
-/// Reads /proc/vmstat. Metrics: pgfault, pgmajfault, pgpgin, pgpgout
-/// (cumulative).
-class VmStatSampler final : public Sampler {
- public:
-  explicit VmStatSampler(std::string path = "/proc/vmstat");
-
-  std::string name() const override { return "vmstat"; }
   const std::vector<Sample>& sample() override;
 
  private:

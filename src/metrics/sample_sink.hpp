@@ -20,8 +20,8 @@ class SampleSink {
 
   /// Called once per sample, in collection order (samplers in
   /// registration order, samples in each sampler's emission order,
-  /// timestamps non-decreasing) -- the exact order MetricStore::record
-  /// would have seen.
+  /// timestamps non-decreasing) -- the exact order the store's series
+  /// would have been appended in.
   virtual void on_sample(const MetricId& id, double timestamp,
                          double value) = 0;
 };

@@ -6,10 +6,6 @@
 
 namespace hpas::metrics {
 
-void MetricStore::record(const MetricId& id, double timestamp, double value) {
-  series_for(id).append(timestamp, value);
-}
-
 bool MetricStore::contains(const MetricId& id) const {
   return series_.count(id) > 0;
 }

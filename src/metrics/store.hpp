@@ -16,8 +16,6 @@ namespace hpas::metrics {
 /// lifetime.
 class MetricStore {
  public:
-  void record(const MetricId& id, double timestamp, double value);
-
   /// The series of `id`, created empty if absent.
   TimeSeries& series_for(const MetricId& id) { return series_[id]; }
 

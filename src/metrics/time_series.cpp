@@ -18,11 +18,6 @@ double TimeSeries::value_at(std::size_t i) const {
   return values_[i];
 }
 
-double TimeSeries::timestamp_at(std::size_t i) const {
-  require(i < timestamps_.size(), "TimeSeries: index out of range");
-  return timestamps_[i];
-}
-
 std::vector<double> TimeSeries::values_between(double t0, double t1) const {
   const auto lo = std::lower_bound(timestamps_.begin(), timestamps_.end(), t0);
   const auto hi = std::lower_bound(timestamps_.begin(), timestamps_.end(), t1);

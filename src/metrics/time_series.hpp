@@ -20,7 +20,6 @@ class TimeSeries {
   std::span<const double> timestamps() const { return timestamps_; }
 
   double value_at(std::size_t i) const;
-  double timestamp_at(std::size_t i) const;
 
   /// Values with timestamps in [t0, t1); used to window out warmup.
   std::vector<double> values_between(double t0, double t1) const;

@@ -185,22 +185,4 @@ int DecisionTree::predict(std::span<const double> x) const {
                           proba.begin());
 }
 
-int DecisionTree::depth() const {
-  // Iterative depth computation over the node array.
-  if (nodes_.empty()) return 0;
-  std::vector<std::pair<int, int>> stack{{0, 1}};
-  int max_depth = 0;
-  while (!stack.empty()) {
-    const auto [at, d] = stack.back();
-    stack.pop_back();
-    max_depth = std::max(max_depth, d);
-    const Node& n = nodes_[static_cast<std::size_t>(at)];
-    if (n.feature >= 0) {
-      stack.push_back({n.left, d + 1});
-      stack.push_back({n.right, d + 1});
-    }
-  }
-  return max_depth;
-}
-
 }  // namespace hpas::ml

@@ -37,7 +37,6 @@ class DecisionTree {
 
   bool trained() const { return !nodes_.empty(); }
   std::size_t node_count() const { return nodes_.size(); }
-  int depth() const;
 
   /// Gini importance per feature: total weighted impurity decrease
   /// contributed by splits on that feature, normalized to sum to 1

@@ -1,8 +1,5 @@
 #include "ml/evaluation.hpp"
 
-#include <iomanip>
-#include <ostream>
-
 #include "common/error.hpp"
 
 namespace hpas::ml {
@@ -20,34 +17,6 @@ void ConfusionMatrix::add(int true_label, int predicted_label) {
           "ConfusionMatrix: label out of range");
   ++counts_[static_cast<std::size_t>(true_label)]
            [static_cast<std::size_t>(predicted_label)];
-}
-
-void ConfusionMatrix::merge(const ConfusionMatrix& other) {
-  require(other.num_classes() == num_classes(),
-          "ConfusionMatrix: class count mismatch");
-  for (std::size_t t = 0; t < counts_.size(); ++t)
-    for (std::size_t p = 0; p < counts_.size(); ++p)
-      counts_[t][p] += other.counts_[t][p];
-}
-
-std::size_t ConfusionMatrix::count(int true_label, int predicted_label) const {
-  return counts_[static_cast<std::size_t>(true_label)]
-                [static_cast<std::size_t>(predicted_label)];
-}
-
-std::size_t ConfusionMatrix::total() const {
-  std::size_t sum = 0;
-  for (const auto& row : counts_)
-    for (const std::size_t c : row) sum += c;
-  return sum;
-}
-
-double ConfusionMatrix::accuracy() const {
-  const std::size_t all = total();
-  if (all == 0) return 0.0;
-  std::size_t correct = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) correct += counts_[i][i];
-  return static_cast<double>(correct) / static_cast<double>(all);
 }
 
 double ConfusionMatrix::precision(int cls) const {
@@ -92,23 +61,6 @@ std::vector<std::vector<double>> ConfusionMatrix::row_normalized() const {
     }
   }
   return out;
-}
-
-void ConfusionMatrix::print(std::ostream& os,
-                            const std::vector<std::string>& names) const {
-  require(names.size() == counts_.size(),
-          "ConfusionMatrix::print: name count mismatch");
-  const auto norm = row_normalized();
-  os << std::setw(12) << "true\\pred";
-  for (const auto& name : names) os << std::setw(11) << name;
-  os << '\n';
-  for (std::size_t t = 0; t < norm.size(); ++t) {
-    os << std::setw(12) << names[t];
-    for (std::size_t p = 0; p < norm.size(); ++p) {
-      os << std::setw(11) << std::fixed << std::setprecision(2) << norm[t][p];
-    }
-    os << '\n';
-  }
 }
 
 }  // namespace hpas::ml

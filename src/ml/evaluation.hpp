@@ -2,8 +2,6 @@
 // the metrics reported in the paper's Figs. 9 and 10.
 #pragma once
 
-#include <iosfwd>
-#include <string>
 #include <vector>
 
 namespace hpas::ml {
@@ -13,13 +11,9 @@ class ConfusionMatrix {
   explicit ConfusionMatrix(int num_classes);
 
   void add(int true_label, int predicted_label);
-  void merge(const ConfusionMatrix& other);
 
   int num_classes() const { return static_cast<int>(counts_.size()); }
-  std::size_t count(int true_label, int predicted_label) const;
-  std::size_t total() const;
 
-  double accuracy() const;
   double precision(int cls) const;  ///< 0 when the class was never predicted
   double recall(int cls) const;     ///< 0 when the class never occurred
   double f1(int cls) const;
@@ -27,9 +21,6 @@ class ConfusionMatrix {
 
   /// Row-normalized matrix (each row sums to 1), the form of Fig. 10.
   std::vector<std::vector<double>> row_normalized() const;
-
-  /// Pretty-prints the row-normalized matrix with class names.
-  void print(std::ostream& os, const std::vector<std::string>& names) const;
 
  private:
   std::vector<std::vector<std::size_t>> counts_;  // [true][pred]

@@ -37,11 +37,6 @@ void Watchdog::disarm(std::uint64_t id) {
   armed_.erase(id);
 }
 
-std::uint64_t Watchdog::expired_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return expired_;
-}
-
 void Watchdog::monitor_loop() {
   std::unique_lock<std::mutex> lock(mu_);
   while (!stop_) {
@@ -54,7 +49,6 @@ void Watchdog::monitor_loop() {
       if (it->second.deadline <= now) {
         due.push_back(std::move(it->second.on_expire));
         it = armed_.erase(it);
-        ++expired_;
       } else {
         nearest = std::min(nearest, it->second.deadline);
         ++it;

@@ -36,9 +36,6 @@ class Watchdog {
   /// that is currently executing.
   void disarm(std::uint64_t id);
 
-  /// Timers that expired and fired their callback (for reporting).
-  std::uint64_t expired_count() const;
-
  private:
   struct Entry {
     std::chrono::steady_clock::time_point deadline;
@@ -47,11 +44,10 @@ class Watchdog {
 
   void monitor_loop();
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   std::map<std::uint64_t, Entry> armed_;
   std::uint64_t next_id_ = 1;
-  std::uint64_t expired_ = 0;
   bool stop_ = false;
   std::thread thread_;
 };

@@ -74,15 +74,6 @@ double canonical_coord(const Dimension& d, double v) {
 
 }  // namespace
 
-const char* dim_kind_name(DimKind kind) {
-  switch (kind) {
-    case DimKind::kContinuous: return "continuous";
-    case DimKind::kInteger: return "integer";
-    case DimKind::kCategorical: return "categorical";
-  }
-  return "unknown";
-}
-
 ScenarioSpace ScenarioSpace::from_json(const Json& spec) {
   if (!spec.is_object())
     throw ConfigError("space: document must be an object");

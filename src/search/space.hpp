@@ -53,8 +53,6 @@ namespace hpas::search {
 
 enum class DimKind : int { kContinuous = 0, kInteger = 1, kCategorical = 2 };
 
-const char* dim_kind_name(DimKind kind);
-
 /// One bounded dimension bound to a ScenarioSpec field by name.
 struct Dimension {
   std::string field;  ///< "app", "anomaly", "intensity", "ranks_per_node", ...

@@ -20,11 +20,6 @@ Task::Task(std::string name, int node, int core, TaskProfile profile,
           "Task: cpu_demand must be in (0,1]");
 }
 
-TaskProfile& Task::mutable_profile() {
-  if (world_ != nullptr) world_->on_task_profile_mutation(*this);
-  return profile_;
-}
-
 void Task::set_phase(const Phase& phase) {
   // Settle deferred counter integration for the domains this transition
   // touches *before* the phase (and thus domain membership and rates)

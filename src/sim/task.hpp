@@ -121,11 +121,6 @@ class Task {
   int node() const { return node_; }
   int core() const { return core_; }
   const TaskProfile& profile() const { return profile_; }
-  /// Mutable access to the profile. When the task is owned by a World,
-  /// this first settles the task's deferred counter integration and marks
-  /// its resource domains dirty, so the mutation cannot be applied
-  /// retroactively to already-elapsed simulated time.
-  TaskProfile& mutable_profile();
 
   const Phase& phase() const { return phase_; }
   double remaining() const { return remaining_; }
@@ -195,10 +190,10 @@ class Task {
   std::uint32_t trace_id() const { return trace_id_; }
 
   /// Wires the task to its owning World. A wired task notifies the World
-  /// around phase changes and profile mutations, which is how the
-  /// incremental engine tracks dirty resource domains and settles lazy
-  /// counter integration at exactly the right boundaries. Null (the
-  /// default, for standalone model tests) disables the hooks.
+  /// around phase changes, which is how the incremental engine tracks
+  /// dirty resource domains and settles lazy counter integration at
+  /// exactly the right boundaries. Null (the default, for standalone
+  /// model tests) disables the hooks.
   void set_world(World* world) { world_ = world; }
 
   /// True once World::kill_task removed the task from the live set; lets

@@ -50,11 +50,6 @@ Node& World::node(int id) {
   return *nodes_[static_cast<std::size_t>(id)];
 }
 
-const Node& World::node(int id) const {
-  require(id >= 0 && id < num_nodes(), "World: node id out of range");
-  return *nodes_[static_cast<std::size_t>(id)];
-}
-
 Task* World::spawn_task(const std::string& name, int node_id, int core,
                         const TaskProfile& profile, const Phase& initial,
                         Task::NextPhaseFn next_phase) {
@@ -337,16 +332,6 @@ void World::on_task_phase_change(Task& task, const Phase& next) {
 void World::on_task_phase_installed(Task& task) {
   task.sync_remaining_ = task.remaining_;
   task.sync_latency_ = task.latency_left_;
-}
-
-void World::on_task_profile_mutation(Task& task) {
-  // Settle the pending range with the *old* profile (the eager loop would
-  // have integrated it before the mutation took effect), then make the
-  // next recompute re-solve everything the profile feeds.
-  sync_domain_of(task.phase_.kind, task.node_);
-  mark_node_dirty(task.node_);
-  if (task.phase_.kind == PhaseKind::kMessage) net_dirty_ = true;
-  if (task.phase_.kind == PhaseKind::kIo) fs_dirty_ = true;
 }
 
 void World::set_full_recompute(bool on) {

@@ -20,8 +20,8 @@
 //
 // The loop above is the *semantic* model; the implementation is
 // incremental (see DESIGN.md, "Incremental rate recomputation"):
-//   * rate recomputation is dirty-set driven -- spawn, kill, phase
-//     transitions and profile mutations mark only the affected node(s),
+//   * rate recomputation is dirty-set driven -- spawn, kill and phase
+//     transitions mark only the affected node(s),
 //     the network flow set, or the filesystem, and recompute_rates()
 //     re-solves just those domains. Clean domains keep their installed
 //     rates, which are identical because the solvers are deterministic
@@ -71,7 +71,6 @@ class World {
 
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
   Node& node(int id);
-  const Node& node(int id) const;
   Network& network() { return network_; }
   Filesystem& filesystem() { return fs_; }
 
@@ -126,11 +125,11 @@ class World {
   }
 
   /// Re-derives all rates and reschedules the next completion. Called
-  /// automatically by spawn/kill/allocate and by phase completions; call
-  /// manually after mutating task state from outside in ways the World
-  /// cannot observe. Conservatively marks every domain dirty and settles
-  /// all deferred counter integration, exactly like the original
-  /// full-recompute loop.
+  /// automatically by spawn/kill/allocate and by phase completions; an
+  /// observer calls it to bring rates up to date before reading them
+  /// (sched::NodeMonitor does). Conservatively marks every domain dirty
+  /// and settles all deferred counter integration, exactly like the
+  /// original full-recompute loop.
   void update();
 
   void run_until(double t);
@@ -144,13 +143,12 @@ class World {
   void set_full_recompute(bool on);
   bool full_recompute() const { return full_recompute_; }
 
-  /// Incremental-engine hooks, invoked by Task (and kept public for it;
-  /// not useful to call directly). They settle deferred counter
-  /// integration for the domains a mutation touches and mark those
-  /// domains dirty.
+  /// Incremental-engine hooks, invoked by Task::set_phase (and kept
+  /// public for it; not useful to call directly). They settle deferred
+  /// counter integration for the domains a phase change touches and mark
+  /// those domains dirty.
   void on_task_phase_change(Task& task, const Phase& next);
   void on_task_phase_installed(Task& task);
-  void on_task_profile_mutation(Task& task);
 
  private:
   void update_event();  ///< incremental update (internal event path)

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "common/le_bytes.hpp"
 
 namespace hpas::trace {
@@ -151,38 +152,6 @@ void write_text(std::ostream& out, const TraceFile& file) {
     out << "label " << id << ' ' << name << '\n';
   for (const TraceRecord& r : file.records)
     out << format_record(r, file) << '\n';
-}
-
-Json to_chrome_trace(const TraceFile& file) {
-  Json events = Json::array();
-  for (const TraceRecord& r : file.records) {
-    Json ev = Json::object();
-    std::string name(record_kind_name(r.kind));
-    for (const auto& [id, label] : file.labels) {
-      if (id == r.subject) {
-        name += ':' + label;
-        break;
-      }
-    }
-    ev.set("name", std::move(name));
-    ev.set("ph", "i");  // instant event
-    ev.set("s", "g");   // global scope
-    ev.set("ts", r.time * 1e6);
-    ev.set("pid", 0);
-    ev.set("tid", static_cast<double>(r.subject));
-    Json args = Json::object();
-    args.set("seq", static_cast<double>(r.seq));
-    args.set("detail", static_cast<double>(r.detail));
-    args.set("a", static_cast<double>(r.a));
-    args.set("x", r.x);
-    args.set("y", r.y);
-    ev.set("args", std::move(args));
-    events.push_back(std::move(ev));
-  }
-  Json doc = Json::object();
-  doc.set("traceEvents", std::move(events));
-  doc.set("displayTimeUnit", "ms");
-  return doc;
 }
 
 }  // namespace hpas::trace

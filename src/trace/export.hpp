@@ -1,21 +1,18 @@
 // Trace exporters and readers.
 //
-// Three forms, one source of truth (TraceFile):
+// Two forms, one source of truth (TraceFile):
 //   * binary  -- the canonical on-disk format (`hpas-sim --trace`): a
 //     fixed little-endian layout, 46 bytes per record, with the emitted/
 //     dropped counters and the label table in the header. Byte-stable:
 //     re-serializing a read trace reproduces the input exactly;
 //   * text    -- one line per record, numbers in the same shortest-round-
 //     trip form the JSON serializer uses. Byte-stable, diffable, and what
-//     the golden-trace regression tests pin;
-//   * Chrome `trace_event` JSON -- load into chrome://tracing or Perfetto
-//     for a visual timeline (instant events; pid 0, tid = subject).
+//     the golden-trace regression tests pin.
 #pragma once
 
 #include <iosfwd>
 #include <string>
 
-#include "common/json.hpp"
 #include "trace/tracer.hpp"
 
 namespace hpas::trace {
@@ -40,9 +37,5 @@ std::string format_record(const TraceRecord& record, const TraceFile& file);
 /// The byte-stable text form: a `trace` header line with the counters,
 /// `label` lines, then one format_record() line per record.
 void write_text(std::ostream& out, const TraceFile& file);
-
-/// Chrome trace_event document ({"traceEvents": [...]}); timestamps in
-/// microseconds as the format requires.
-Json to_chrome_trace(const TraceFile& file);
 
 }  // namespace hpas::trace

@@ -1,11 +1,17 @@
-// Tests for statistical feature extraction (metrics/features.hpp).
+// Tests for statistical feature extraction: the per-series statistics
+// (metrics/features.hpp) and the diagnosis window over a store
+// (ml::extract_window_features).
 #include "metrics/features.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
-#include "common/stats.hpp"
+#include "metrics/store.hpp"
+#include "ml/diagnosis.hpp"
 
 namespace hpas::metrics {
 namespace {
@@ -46,35 +52,56 @@ TEST(Features, SlopeSeparatesLeakFromPlateau) {
   EXPECT_GT(f_leak[11], 3.0 * std::abs(f_plateau[11]));
 }
 
+/// Offset of `name` (e.g. "Memfree::meminfo#mean") in the diagnosis
+/// feature vector.
+std::size_t feature_index(const std::vector<std::string>& names,
+                          const std::string& name) {
+  const auto it = std::find(names.begin(), names.end(), name);
+  EXPECT_NE(it, names.end()) << name;
+  return static_cast<std::size_t>(it - names.begin());
+}
+
 TEST(Features, StoreExtractionAlignsAndNames) {
+  // The window extraction sweep, dataset and search all use: counters are
+  // differenced into rates, gauges (meminfo) used raw.
   MetricStore store;
   for (int t = 0; t < 10; ++t) {
-    store.record({"a", "s"}, t, t * 1.0);
-    store.record({"b", "s"}, t, 5.0);
+    store.series_for({"user", "procstat"}).append(t, t * 3.0);
+    store.series_for({"Memfree", "meminfo"}).append(t, 5.0);
   }
-  const std::vector<MetricId> ids = {{"a", "s"}, {"b", "s"}, {"missing", "s"}};
-  std::vector<std::string> names;
-  const auto f = extract_features(store, ids, 0.0, 10.0, &names);
-  ASSERT_EQ(f.size(), 3 * features_per_metric());
+  const auto names = ml::diagnosis_feature_names(ml::DiagnosisDataOptions{});
+  const auto f = ml::extract_window_features(store, 0.0, 10.0, false, 0.0,
+                                             nullptr);
+  ASSERT_EQ(f.size(),
+            ml::diagnosis_feature_metrics(false).size() * features_per_metric());
   ASSERT_EQ(names.size(), f.size());
-  EXPECT_EQ(names[0], "a::s#mean");
-  EXPECT_EQ(names[features_per_metric()], "b::s#mean");
-  // Metric b: constant 5 -> mean 5, std 0.
-  EXPECT_DOUBLE_EQ(f[features_per_metric() + 0], 5.0);
-  EXPECT_DOUBLE_EQ(f[features_per_metric() + 1], 0.0);
-  // Missing metric contributes zeros, keeping vectors aligned.
-  for (std::size_t i = 2 * features_per_metric(); i < f.size(); ++i)
+  EXPECT_EQ(names[0], "user::procstat#mean");
+  // Counter user: a constant step of 3 -> rate mean 3, std 0.
+  EXPECT_DOUBLE_EQ(f[feature_index(names, "user::procstat#mean")], 3.0);
+  EXPECT_DOUBLE_EQ(f[feature_index(names, "user::procstat#std")], 0.0);
+  // Gauge Memfree: constant 5 -> mean 5, std 0.
+  const std::size_t memfree = feature_index(names, "Memfree::meminfo#mean");
+  EXPECT_DOUBLE_EQ(f[memfree + 0], 5.0);
+  EXPECT_DOUBLE_EQ(f[memfree + 1], 0.0);
+  // A missing metric contributes zeros, keeping vectors aligned.
+  const std::size_t sys = feature_index(names, "sys::procstat#mean");
+  for (std::size_t i = sys; i < sys + features_per_metric(); ++i)
     EXPECT_DOUBLE_EQ(f[i], 0.0);
 }
 
 TEST(Features, WindowingRespected) {
+  // The window is half-open: [t0, t1).
   MetricStore store;
-  for (int t = 0; t < 10; ++t) store.record({"a", "s"}, t, t < 5 ? 0.0 : 100.0);
-  const std::vector<MetricId> ids = {{"a", "s"}};
-  const auto early = extract_features(store, ids, 0.0, 5.0);
-  const auto late = extract_features(store, ids, 5.0, 10.0);
-  EXPECT_DOUBLE_EQ(early[0], 0.0);
-  EXPECT_DOUBLE_EQ(late[0], 100.0);
+  for (int t = 0; t < 10; ++t)
+    store.series_for({"Memfree", "meminfo"}).append(t, t < 5 ? 0.0 : 100.0);
+  const auto names = ml::diagnosis_feature_names(ml::DiagnosisDataOptions{});
+  const std::size_t mean = feature_index(names, "Memfree::meminfo#mean");
+  const auto early =
+      ml::extract_window_features(store, 0.0, 5.0, false, 0.0, nullptr);
+  const auto late =
+      ml::extract_window_features(store, 5.0, 10.0, false, 0.0, nullptr);
+  EXPECT_DOUBLE_EQ(early[mean], 0.0);
+  EXPECT_DOUBLE_EQ(late[mean], 100.0);
 }
 
 }  // namespace

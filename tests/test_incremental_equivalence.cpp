@@ -7,9 +7,9 @@
 // Four layers of evidence, strongest first: the fig05 memleak trace
 // (every event, rate, memory and sample record), a mixed scenario that
 // keeps all three counter domains (node, network, filesystem) busy at
-// once, a "storm" world that contests every event boundary (kill, spawn,
-// wake and profile-mutation bursts at tied timestamps, cross-node
-// messages, filesystem writes, cancellation tombstones) compared down to
+// once, a "storm" world that contests every event boundary (kill, spawn
+// and wake bursts at tied timestamps, cross-node messages, filesystem
+// writes, cancellation tombstones) compared down to
 // every counter's bits, and a whole sweep output directory (CSVs +
 // traces + summary) compared file-by-file.
 #include <gtest/gtest.h>
@@ -154,7 +154,7 @@ void expect_same_trace(const std::string& got, const std::string& want,
 
 /// A 32-node world where every event boundary is contested: cycling
 /// workloads on all nodes, cross-node message flows, filesystem traffic,
-/// scheduled kill/spawn/wake/mutate storms (several at the same
+/// scheduled kill/spawn/wake storms (several at the same
 /// timestamp, exercising the FIFO tie-break) and an event-cancellation
 /// burst that leaves tombstones in the queue. `splits` optionally breaks
 /// run_until at those times; `switch_at`, when >= 0, flips the
@@ -231,15 +231,6 @@ StormRun run_storm(bool full_recompute, const std::vector<double>& splits = {},
     for (sim::Task* task : sleepers)
       if (!task->killed() && !task->done())
         task->set_phase(sim::Phase::sleep(0.5));
-    world.update();
-  });
-  // Profile-mutation storm: rate changes land exactly on an event.
-  engine.schedule_at(4.0, [&world, cyclers] {
-    for (std::size_t i = 0; i < cyclers.size(); i += 5) {
-      sim::Task* task = cyclers[i];
-      if (task->killed() || task->done()) continue;
-      task->mutable_profile().cpu_demand = 0.5;
-    }
     world.update();
   });
   // Cancellation burst: schedule far-future events, cancel most of them

@@ -108,14 +108,15 @@ TEST(DecisionTree, SolvesXor) {
   }
   EXPECT_GT(static_cast<double>(correct) / static_cast<double>(data.size()),
             0.95);
-  EXPECT_GE(tree.depth(), 2);
+  // Four XOR quadrants need at least four leaves: two levels of splits.
+  EXPECT_GE(tree.node_count(), 7u);
 }
 
 TEST(DecisionTree, DepthLimitRespected) {
   Dataset data = make_xor(200, 8);
   DecisionTree stump(TreeOptions{.max_depth = 1});
   stump.fit(data);
-  EXPECT_LE(stump.depth(), 2);  // root + leaves
+  EXPECT_LE(stump.node_count(), 3u);  // one split: root + two leaves
 }
 
 TEST(DecisionTree, MinLeafRespected) {
@@ -250,8 +251,6 @@ TEST(ConfusionMatrix, MetricsMatchHandComputation) {
   for (int i = 0; i < 2; ++i) cm.add(0, 1);
   for (int i = 0; i < 9; ++i) cm.add(1, 1);
   cm.add(1, 0);
-  EXPECT_EQ(cm.total(), 20u);
-  EXPECT_NEAR(cm.accuracy(), 17.0 / 20.0, 1e-12);
   EXPECT_NEAR(cm.recall(0), 0.8, 1e-12);
   EXPECT_NEAR(cm.precision(0), 8.0 / 9.0, 1e-12);
   const double p = 8.0 / 9.0, r = 0.8;
@@ -269,21 +268,11 @@ TEST(ConfusionMatrix, EmptyClassesSafe) {
   EXPECT_DOUBLE_EQ(cm.f1(2), 0.0);
 }
 
-TEST(ConfusionMatrix, MergeAccumulates) {
-  ConfusionMatrix a(2), b(2);
-  a.add(0, 0);
-  b.add(0, 1);
-  a.merge(b);
-  EXPECT_EQ(a.total(), 2u);
-  EXPECT_EQ(a.count(0, 1), 1u);
-}
-
 TEST(ConfusionMatrix, Validates) {
   ConfusionMatrix cm(2);
   EXPECT_THROW(cm.add(2, 0), InvariantError);
   EXPECT_THROW(cm.add(0, -1), InvariantError);
-  ConfusionMatrix other(3);
-  EXPECT_THROW(cm.merge(other), InvariantError);
+  EXPECT_THROW(ConfusionMatrix(0), InvariantError);
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <sstream>
+#include <string>
 #include <thread>
 
 #include "common/error.hpp"
@@ -13,8 +15,13 @@
 namespace hpas::anomalies {
 namespace {
 
+Schedule parse_text(const std::string& text) {
+  std::istringstream in(text);
+  return parse_schedule(in);
+}
+
 TEST(ScheduleParse, BasicFormatWithCommentsAndBlanks) {
-  const Schedule schedule = parse_schedule_text(
+  const Schedule schedule = parse_text(
       "# composite variability pattern\n"
       "\n"
       "at 0s   cpuoccupy -u 80 -d 30s\n"
@@ -30,7 +37,7 @@ TEST(ScheduleParse, BasicFormatWithCommentsAndBlanks) {
 }
 
 TEST(ScheduleParse, SpanCoversLatestEnd) {
-  const Schedule schedule = parse_schedule_text(
+  const Schedule schedule = parse_text(
       "at 0s  cpuoccupy -d 30s\n"
       "at 50s memleak -d 20s --start-delay 5s\n");
   EXPECT_DOUBLE_EQ(schedule.span_seconds(), 75.0);  // 50 + 5 + 20
@@ -38,7 +45,7 @@ TEST(ScheduleParse, SpanCoversLatestEnd) {
 
 TEST(ScheduleParse, ErrorsCarryLineNumbers) {
   try {
-    parse_schedule_text("at 0s cpuoccupy -d 1s\nat 5s bogus -d 1s\n");
+    parse_text("at 0s cpuoccupy -d 1s\nat 5s bogus -d 1s\n");
     FAIL() << "expected ConfigError";
   } catch (const ConfigError& e) {
     EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
@@ -47,17 +54,15 @@ TEST(ScheduleParse, ErrorsCarryLineNumbers) {
 }
 
 TEST(ScheduleParse, RejectsMalformedLines) {
-  EXPECT_THROW(parse_schedule_text("cpuoccupy -d 1s\n"), ConfigError);
-  EXPECT_THROW(parse_schedule_text("at banana cpuoccupy -d 1s\n"),
-               ConfigError);
-  EXPECT_THROW(parse_schedule_text("at 0s\n"), ConfigError);
+  EXPECT_THROW(parse_text("cpuoccupy -d 1s\n"), ConfigError);
+  EXPECT_THROW(parse_text("at banana cpuoccupy -d 1s\n"), ConfigError);
+  EXPECT_THROW(parse_text("at 0s\n"), ConfigError);
   // Bad per-anomaly args are validated eagerly, with the line number.
-  EXPECT_THROW(parse_schedule_text("at 0s cpuoccupy -u 150 -d 1s\n"),
-               ConfigError);
+  EXPECT_THROW(parse_text("at 0s cpuoccupy -u 150 -d 1s\n"), ConfigError);
 }
 
 TEST(ScheduleParse, EmptyScheduleIsValid) {
-  const Schedule schedule = parse_schedule_text("# nothing\n\n");
+  const Schedule schedule = parse_text("# nothing\n\n");
   EXPECT_TRUE(schedule.entries.empty());
   EXPECT_DOUBLE_EQ(schedule.span_seconds(), 0.0);
 }
@@ -67,7 +72,7 @@ TEST(ScheduleParse, MissingFileThrows) {
 }
 
 TEST(ScheduleRun, ConcurrentInstancesHonourOffsets) {
-  const Schedule schedule = parse_schedule_text(
+  const Schedule schedule = parse_text(
       "at 0s    cpuoccupy -u 30 -d 0.3s -p 50ms\n"
       "at 0.2s  memleak -s 256K -r 20ms -d 0.2s\n");
   Stopwatch sw;
@@ -92,7 +97,7 @@ TEST(ScheduleRun, ConcurrentInstancesHonourOffsets) {
 }
 
 TEST(ScheduleRun, StopRequestTearsEverythingDown) {
-  const Schedule schedule = parse_schedule_text(
+  const Schedule schedule = parse_text(
       "at 0s cpuoccupy -u 20 -d 0\n"   // unlimited
       "at 0s memleak -s 64K -r 10ms -d 0\n");
   std::atomic<bool> stop{false};

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/rng.hpp"
 
 namespace hpas {
 namespace {
@@ -75,86 +74,6 @@ TEST(IndexSlope, ExactForLinearSeries) {
 TEST(IndexSlope, ZeroForConstantAndShortSeries) {
   EXPECT_DOUBLE_EQ(index_slope(std::vector<double>{5.0}), 0.0);
   EXPECT_NEAR(index_slope(std::vector<double>(10, 7.0)), 0.0, 1e-12);
-}
-
-TEST(Correlation, PerfectAndInverse) {
-  const std::vector<double> xs = {1, 2, 3, 4, 5};
-  const std::vector<double> up = {2, 4, 6, 8, 10};
-  const std::vector<double> down = {10, 8, 6, 4, 2};
-  EXPECT_NEAR(correlation(xs, up), 1.0, 1e-12);
-  EXPECT_NEAR(correlation(xs, down), -1.0, 1e-12);
-}
-
-TEST(Correlation, ZeroVarianceGivesZero) {
-  const std::vector<double> xs = {1, 2, 3};
-  const std::vector<double> flat = {5, 5, 5};
-  EXPECT_DOUBLE_EQ(correlation(xs, flat), 0.0);
-}
-
-TEST(OnlineStats, MatchesBatchSummary) {
-  Rng rng(5);
-  std::vector<double> xs;
-  OnlineStats online;
-  for (int i = 0; i < 5000; ++i) {
-    const double x = rng.normal(3.0, 1.5);
-    xs.push_back(x);
-    online.add(x);
-  }
-  const Summary batch = summarize(xs);
-  EXPECT_NEAR(online.mean(), batch.mean, 1e-9);
-  EXPECT_NEAR(online.variance(), batch.variance, 1e-9);
-  EXPECT_DOUBLE_EQ(online.min(), batch.min);
-  EXPECT_DOUBLE_EQ(online.max(), batch.max);
-}
-
-TEST(OnlineStats, MergeEqualsSequential) {
-  Rng rng(6);
-  OnlineStats all, part1, part2;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.uniform(0, 10);
-    all.add(x);
-    (i < 400 ? part1 : part2).add(x);
-  }
-  part1.merge(part2);
-  EXPECT_EQ(part1.count(), all.count());
-  EXPECT_NEAR(part1.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(part1.variance(), all.variance(), 1e-9);
-}
-
-TEST(Ewma, ConvergesToConstantInput) {
-  Ewma ewma(0.3);
-  EXPECT_TRUE(ewma.empty());
-  for (int i = 0; i < 100; ++i) ewma.add(7.0);
-  EXPECT_NEAR(ewma.value(), 7.0, 1e-9);
-}
-
-TEST(Ewma, FirstValueInitializes) {
-  Ewma ewma(0.1);
-  ewma.add(42.0);
-  EXPECT_DOUBLE_EQ(ewma.value(), 42.0);
-}
-
-TEST(Ewma, RejectsBadAlpha) {
-  EXPECT_THROW(Ewma(0.0), InvariantError);
-  EXPECT_THROW(Ewma(1.5), InvariantError);
-}
-
-TEST(Histogram, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);   // bin 0
-  h.add(9.99);  // bin 9
-  h.add(-5.0);  // clamped to bin 0
-  h.add(50.0);  // clamped to bin 9
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(9), 2u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(1), 1.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(1), 2.0);
-}
-
-TEST(Histogram, RejectsDegenerateRange) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), InvariantError);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), InvariantError);
 }
 
 }  // namespace

@@ -241,12 +241,4 @@ TEST(TraceExport, TextFormIsStableAndLabelsSubjects) {
   EXPECT_EQ(out2.str(), text);  // byte-stable
 }
 
-TEST(TraceExport, ChromeTraceHasOneEventPerRecord) {
-  const TraceFile file = sample_file();
-  const hpas::Json doc = hpas::trace::to_chrome_trace(file);
-  const auto* events = doc.find("traceEvents");
-  ASSERT_NE(events, nullptr);
-  EXPECT_EQ(events->as_array().size(), file.records.size());
-}
-
 }  // namespace
