@@ -7,6 +7,8 @@
 // and reports which nodes WBAS picks and the resulting job time,
 // compared against Round-Robin.
 #include <cstdio>
+#include <string>
+#include <utility>
 
 #include "apps/bsp_app.hpp"
 #include "apps/profiles.hpp"
@@ -28,12 +30,13 @@ double run_with_policy(const hpas::sched::AllocationPolicy& policy,
   world->run_until(60.0);
 
   const auto nodes = policy.select_nodes(monitor.status(), 4);
-  *picked = "[";
+  std::string list = "[";
   for (std::size_t i = 0; i < nodes.size(); ++i) {
-    if (i > 0) *picked += ",";
-    *picked += std::to_string(nodes[i]);
+    if (i > 0) list += ",";
+    list += std::to_string(nodes[i]);
   }
-  *picked += "]";
+  list += "]";
+  *picked = std::move(list);
 
   hpas::apps::AppSpec spec = hpas::apps::app_by_name("miniGhost");
   spec.iterations = 60;

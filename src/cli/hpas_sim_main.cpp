@@ -158,6 +158,7 @@ int run(const hpas::ParsedArgs& args) {
   hpas::runner::RunOptions options;
   options.capture_trace = !trace_path.empty() || !check_path.empty();
   options.cancel = &cancel;
+  options.store_samples = hpas::runner::StoredNodes::kAll;
   options.inspect = [&](hpas::sim::World& world) {
     stopped_at = world.now();
     for (int node = 1; node < world.num_nodes(); ++node) {

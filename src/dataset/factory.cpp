@@ -69,7 +69,9 @@ std::optional<RowFeatures> compute_row(const DatasetPlan& plan, std::size_t i,
   } else {
     const runner::ScenarioResult run = runner::run_scenario(
         row.spec,
-        {.cancel = hard, .sink = &extractor, .store_samples = false});
+        {.cancel = hard,
+         .sink = &extractor,
+         .store_samples = runner::StoredNodes::kNone});
     if (run.status != runner::ScenarioStatus::kDone) return std::nullopt;
   }
   RowFeatures out;

@@ -174,8 +174,10 @@ ScenarioResult run_scenario(const ScenarioSpec& spec,
     capture.emplace();
     world->attach_tracer(&capture->tracer());
   }
+  if (options.store_samples == StoredNodes::kNode0) world->set_store_node(0);
   world->enable_monitoring(spec.sample_period_s, options.sink,
-                           /*sink_node=*/0, options.store_samples);
+                           /*sink_node=*/0,
+                           options.store_samples != StoredNodes::kNone);
   world->set_cancel_token(options.cancel);
 
   try {
@@ -288,6 +290,7 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& options) {
               faultline::read_file(out_dir + "/" + spec.name + ".trace.bin");
           if (!trace_bin || crc32(*trace_bin) != rec.trace_crc) continue;
         }
+        // The validated bytes stay on disk; the slot keeps no copy.
         ScenarioResult& s = result.scenarios[i];
         s.spec = spec;
         s.ran = true;
@@ -296,8 +299,6 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& options) {
         s.app_elapsed_s = rec.app_elapsed_s;
         s.app_iterations = static_cast<int>(rec.app_iterations);
         s.wall_seconds = rec.wall_seconds;
-        s.metrics_csv = std::move(*csv);
-        s.trace_bin = std::move(trace_bin).value_or(std::string());
         s.trace_records = rec.trace_records;
         restored[i] = 1;
         keep.push_back(rec);
@@ -310,6 +311,7 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& options) {
     journal = std::make_unique<JournalWriter>(options.journal_path,
                                               /*truncate=*/true);
     for (const JournalRecord& rec : keep) journal->append(rec);
+    result.output_dir = out_dir;
   }
 
   WorkStealingPool pool(
@@ -391,8 +393,15 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& options) {
         if (!slot.trace_bin.empty())
           write_output(out_dir + "/" + slot.spec.name + ".trace.bin",
                        slot.trace_bin);
-        std::lock_guard<std::mutex> lock(journal_mu);
-        journal->append(make_journal_record(slot));
+        {
+          std::lock_guard<std::mutex> lock(journal_mu);
+          journal->append(make_journal_record(slot));
+        }
+        // Published: write_outputs never writes these files again, so the
+        // slot lets go of the bytes. Swapping frees the buffers; assigning
+        // an empty string would keep their capacity.
+        std::string().swap(slot.metrics_csv);
+        std::string().swap(slot.trace_bin);
       }
     });
   }
@@ -459,7 +468,7 @@ Json SweepResult::summary_json() const {
       row.set("status", scenario_status_name(s.status));
     row.set("app_time_s", s.app_elapsed_s);
     row.set("iterations", static_cast<double>(s.app_iterations));
-    if (!s.trace_bin.empty())
+    if (s.trace_records != 0)
       row.set("trace_records", static_cast<double>(s.trace_records));
     rows.push_back(std::move(row));
   }
@@ -501,11 +510,18 @@ Json SweepResult::summary_json() const {
 
 void write_outputs(const SweepResult& result, const std::string& dir) {
   std::error_code ec;
+  // A journaled sweep published its outputs next to its journal; a
+  // summary anywhere else would describe files that are not there.
+  if (!result.output_dir.empty() &&
+      !std::filesystem::equivalent(result.output_dir, dir, ec))
+    throw ConfigError("write_outputs: the sweep published its outputs in " +
+                      result.output_dir + ", not " + dir);
   std::filesystem::create_directories(dir, ec);
   if (ec) throw SystemError("cannot create output directory: " + dir);
 
   for (const ScenarioResult& s : result.scenarios) {
-    if (s.status == ScenarioStatus::kDone)
+    // A CSV always holds its header, so an empty one has been published.
+    if (s.status == ScenarioStatus::kDone && !s.metrics_csv.empty())
       write_output(dir + "/" + s.spec.name + ".csv", s.metrics_csv);
     // Truncated traces of timed-out/cancelled scenarios are still written:
     // they end in kRunCancelled and are the primary debugging artifact for

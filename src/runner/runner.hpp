@@ -13,7 +13,9 @@
 // Crash safety rides on top of the same structure: with a journal path
 // set, every finished scenario writes its outputs to disk immediately and
 // appends a fsync'd journal record (see journal.hpp), so a killed sweep
-// resumes from the last completed scenario instead of the beginning. A
+// resumes from the last completed scenario instead of the beginning. The
+// slot then drops the published bytes, so a journaled sweep holds the
+// CSVs of the running scenarios only, however large the grid. A
 // Watchdog bounds each scenario's wall time, and two CancelTokens let the
 // CLI drain (graceful) or abort (hard) the sweep from a signal handler.
 #pragma once
@@ -79,7 +81,8 @@ struct SweepOptions : ExecOptions {
   double deadline_s = 0.0;
   /// Path of the checkpoint journal (conventionally <out>/sweep.journal).
   /// Empty disables journaling; set, it also turns on incremental output
-  /// writes (each completed scenario's files land before its record).
+  /// writes (each completed scenario's files land before its record, and
+  /// the result keeps none of their bytes).
   /// (`= {}` keeps `{{.threads = N}}` clear of -Wmissing-field-initializers.)
   std::string journal_path = {};
   /// With a journal: replay it first, restore scenarios whose on-disk
@@ -96,9 +99,15 @@ struct ScenarioResult {
   double app_elapsed_s = 0.0;  ///< simulated app wall time (0 if no app)
   int app_iterations = 0;
   double wall_seconds = 0.0; ///< host execution time (not in summaries)
-  std::string metrics_csv;   ///< node-0 monitoring series, CSV bytes
-  std::string trace_bin;     ///< serialized trace (empty unless captured)
-  std::uint64_t trace_records = 0;  ///< record count in trace_bin
+  /// Node-0 monitoring series, CSV bytes. Empty once a journaled sweep
+  /// has published them as <output_dir>/<name>.csv.
+  std::string metrics_csv;
+  /// Serialized trace: empty unless captured, and empty once a journaled
+  /// sweep has published it as <output_dir>/<name>.trace.bin.
+  std::string trace_bin;
+  /// Record count of the captured trace; nonzero exactly when a trace was
+  /// captured (every trace holds at least the t=0 sample record).
+  std::uint64_t trace_records = 0;
 };
 
 struct SweepResult {
@@ -110,6 +119,10 @@ struct SweepResult {
   std::size_t tmp_removed = 0;      ///< orphaned *.tmp files swept on resume
   std::size_t journal_dropped = 0;  ///< damaged journal frames discarded
   bool interrupted = false;   ///< a shutdown/deadline cut the sweep short
+  /// Set by a journaled sweep: the journal's directory, where every
+  /// scenario's CSV and trace already lie. Empty when the outputs are
+  /// held in the slots.
+  std::string output_dir;
 
   bool ok() const;  ///< every scenario completed (status kDone)
   /// Scenarios with the given terminal status.
@@ -124,6 +137,14 @@ struct SweepResult {
   /// a "status" member only when the scenario did not complete, so clean
   /// sweeps stay byte-identical to the pinned golden summaries.
   Json summary_json() const;
+};
+
+/// Which nodes' monitoring samples run_scenario() keeps in the world's
+/// MetricStores. A node without a store is not polled at all.
+enum class StoredNodes {
+  kNone,   ///< no store; result.metrics_csv is header-only
+  kNode0,  ///< node 0 only, the node every result reads
+  kAll,    ///< every node (hpas-sim writes each node's CSV)
 };
 
 /// Per-run knobs of run_scenario(). None of them enters the scenario's
@@ -152,10 +173,11 @@ struct RunOptions {
   /// extraction hook. Observation-only: the simulated world is
   /// bit-identical with or without a sink. May be null.
   metrics::SampleSink* sink = nullptr;
-  /// false leaves the per-node MetricStores empty (result.metrics_csv is
-  /// then header-only), so a sink-only scenario runs in O(1) monitoring
-  /// memory regardless of duration.
-  bool store_samples = true;
+  /// The nodes whose samples are stored. kNone leaves every MetricStore
+  /// empty, so a sink-only scenario runs in O(1) monitoring memory
+  /// regardless of duration; an inspect hook that reads node k > 0 needs
+  /// kAll.
+  StoredNodes store_samples = StoredNodes::kNode0;
 };
 
 /// Runs one scenario in isolation: the single executor behind sweep,
@@ -167,13 +189,16 @@ ScenarioResult run_scenario(const ScenarioSpec& spec,
 /// Runs the whole grid across `options.threads` workers.
 SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& options = {});
 
-/// Writes `<dir>/<scenario>.csv` for every completed scenario (plus
-/// `<dir>/<scenario>.trace.bin` when a trace was captured -- including
-/// truncated traces of timed-out/cancelled scenarios) and
-/// `<dir>/summary.json`; creates `dir` if needed. Each file is published
-/// atomically (tmp, fsync, rename, directory fsync), so a failure
-/// mid-sweep never leaves a partially written output behind. Throws
-/// SystemError on I/O failure.
+/// Writes `<dir>/summary.json` plus the outputs the result still holds:
+/// `<dir>/<scenario>.csv` for every completed scenario and
+/// `<dir>/<scenario>.trace.bin` for every captured trace (including
+/// truncated traces of timed-out/cancelled scenarios); creates `dir` if
+/// needed. A journaled result has published its outputs already and holds
+/// none, so only summary.json is written, and `dir` must be its
+/// output_dir (ConfigError otherwise). Each file is published atomically
+/// (tmp, fsync, rename, directory fsync), so a failure mid-sweep never
+/// leaves a partially written output behind. Throws SystemError on I/O
+/// failure.
 void write_outputs(const SweepResult& result, const std::string& dir);
 
 }  // namespace hpas::runner

@@ -497,11 +497,19 @@ void World::enable_monitoring(double period_s, metrics::SampleSink* sink,
     stores_.push_back(std::make_unique<metrics::MetricStore>());
     auto collector = std::make_unique<metrics::Collector>(stores_.back().get());
     attach_node_samplers(*collector, *this, i);
-    collector->set_store_enabled(store_samples);
+    collector->set_store_enabled(store_samples &&
+                                 (store_node_ < 0 || i == store_node_));
     if (sink != nullptr && i == sink_node) collector->set_sink(sink);
     collectors_.push_back(std::move(collector));
   }
   sample_all(period_s);
+}
+
+void World::set_store_node(int node) {
+  require(stores_.empty(), "set_store_node: monitoring already enabled");
+  require(node >= -1 && node < num_nodes(),
+          "set_store_node: node out of range");
+  store_node_ = node;
 }
 
 void World::sample_all(double period_s) {

@@ -103,10 +103,15 @@ class World {
   /// collection order, including the t=0 sample taken inside this call.
   /// With `store_samples == false` the per-node MetricStores stay empty
   /// (node_store() returns an empty store) -- the streaming dataset path
-  /// uses this so monitoring memory is O(1) in scenario duration.
+  /// uses this so monitoring memory is O(1) in scenario duration. A
+  /// node whose store is off and that feeds no sink is never polled.
   void enable_monitoring(double period_s,
                          metrics::SampleSink* sink = nullptr,
                          int sink_node = 0, bool store_samples = true);
+  /// Restricts enable_monitoring()'s storage to node `node`: every other
+  /// node keeps its collector but an empty store. -1 (the default)
+  /// stores every node. Call before enable_monitoring().
+  void set_store_node(int node);
   metrics::MetricStore& node_store(int id);
 
   /// Attaches a structured tracer to the whole substrate: the engine's
@@ -211,6 +216,7 @@ class World {
   };
   std::vector<RateAgg> agg_scratch_;
 
+  int store_node_ = -1;  ///< the one node with a store; -1 = every node
   std::vector<std::unique_ptr<metrics::MetricStore>> stores_;
   std::vector<std::unique_ptr<metrics::Collector>> collectors_;
 };

@@ -241,9 +241,12 @@ TEST_F(CrashResumeTest, WatchdogCancelsHungScenarioAndSweepContinues) {
   // Cancellation is cooperative but prompt: well under timeout + 1s.
   EXPECT_LT(elapsed, options.scenario_timeout_s + 10.0);
 
-  // The truncated trace of the hung scenario still exists and is
+  // The truncated trace of the hung scenario was published and is
   // journaled as a timeout.
-  EXPECT_FALSE(result.scenarios[1].trace_bin.empty());
+  const auto published = dir_contents(out("run"));
+  const auto stuck_trace = published.find("stuck.trace.bin");
+  ASSERT_NE(stuck_trace, published.end());
+  EXPECT_FALSE(stuck_trace->second.empty());
   const auto read = read_journal(options.journal_path);
   bool found = false;
   for (const auto& rec : read.records) {

@@ -1,14 +1,33 @@
-// hpas pool-verb flags end to end: runs the built binary. -j is bounded,
-// and a value above the bound is a usage error (exit 2) naming --threads;
-// every sweep case is a --dry-run, so no pool is built even if the bound
-// check regresses. The pool verbs declare -j and --fault-schedule from one
-// place, so every one of them lists both.
+// hpas end to end: runs the built binary.
+//
+// Pool-verb flags: -j is bounded, and a value above the bound is a usage
+// error (exit 2) naming --threads; every such sweep case is a --dry-run,
+// so no pool is built even if the bound check regresses. The pool verbs
+// declare -j and --fault-schedule from one place, so every one of them
+// lists both.
+//
+// Crash safety: a sweep SIGKILLed once its journal holds a completed
+// record, then resumed, is byte-identical to an uninterrupted run (the
+// journal carries wall times and is excluded). Readiness is observed
+// through inotify on the output directory, so the kill lands mid-sweep
+// without any fixed delay.
 #include <gtest/gtest.h>
 
+#include <poll.h>
+#include <signal.h>
+#include <sys/inotify.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
 #include <string>
+
+#include "runner/journal.hpp"
 
 namespace {
 
@@ -33,6 +52,10 @@ Outcome run_hpas(const std::string& args) {
 }
 
 const std::string kGrid = std::string("'") + HPAS_GRID + "'";
+
+namespace fs = std::filesystem;
+
+constexpr std::size_t kCrashGridScenarios = 8;  // crash_resume.json
 
 TEST(HpasCli, ThreadsAboveTheBoundAreAUsageError) {
   // 2^32 + 1 and 2^32 once truncated to 1 and 0 (every hardware thread),
@@ -72,6 +95,119 @@ TEST(HpasCli, EveryPoolVerbListsThreadsAndFaultSchedule) {
   EXPECT_EQ(submit.status, 0);
   EXPECT_NE(submit.output.find("--fault-schedule"), std::string::npos);
   EXPECT_EQ(submit.output.find("--threads"), std::string::npos);
+}
+
+std::size_t done_records(const std::string& journal) {
+  std::size_t done = 0;
+  for (const auto& rec : hpas::runner::read_journal(journal).records)
+    if (rec.status == hpas::runner::JournalStatus::kDone) ++done;
+  return done;
+}
+
+/// Every file in `dir` but sweep.journal, name -> bytes.
+std::map<std::string, std::string> outputs_of(const fs::path& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (!entry.is_regular_file() || name == "sweep.journal") continue;
+    std::ifstream in(entry.path(), std::ios::binary);
+    files[name] = {std::istreambuf_iterator<char>(in),
+                   std::istreambuf_iterator<char>()};
+  }
+  return files;
+}
+
+class HpasCliSweep : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    base_ = fs::path(::testing::TempDir()) /
+            ("hpas-sweep-kill-" + std::to_string(::getpid()));
+    fs::remove_all(base_);
+    fs::create_directories(base_);
+  }
+  void TearDown() override { fs::remove_all(base_); }
+
+  fs::path base_;
+};
+
+TEST_F(HpasCliSweep, SigkillMidSweepThenResumeIsByteIdentical) {
+  const std::string grid = std::string("'") + HPAS_CRASH_GRID + "'";
+  const fs::path golden = base_ / "golden";
+  const fs::path crash = base_ / "crash";
+  const Outcome reference =
+      run_hpas("sweep " + grid + " -j 2 -o '" + golden.string() + "'");
+  ASSERT_EQ(reference.status, 0) << reference.output;
+
+  // Watch the output directory before the sweep starts, so no journal
+  // append can slip between a check and the wait that follows it.
+  fs::create_directories(crash);
+  const int watch = ::inotify_init1(IN_CLOEXEC | IN_NONBLOCK);
+  ASSERT_GE(watch, 0);
+  ASSERT_GE(::inotify_add_watch(watch, crash.c_str(),
+                                IN_MODIFY | IN_CREATE | IN_MOVED_TO),
+            0);
+
+  const std::string out_arg = crash.string();
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    if (std::freopen("/dev/null", "w", stdout) == nullptr) ::_exit(126);
+    ::execl(HPAS_BIN, "hpas", "sweep", HPAS_CRASH_GRID, "-j", "2", "-o",
+            out_arg.c_str(), static_cast<char*>(nullptr));
+    ::_exit(127);
+  }
+
+  // Ready: the journal holds a completed record. Each journal append is
+  // an inotify event, so the loop re-reads the journal only when it grew.
+  const std::string journal = (crash / "sweep.journal").string();
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  bool ready = false;
+  bool exited = false;
+  while (!exited && std::chrono::steady_clock::now() < give_up) {
+    ready = done_records(journal) > 0;
+    if (ready) break;
+    pollfd pfd{watch, POLLIN, 0};
+    if (::poll(&pfd, 1, /*timeout_ms=*/1000) > 0) {
+      char events[4096];
+      while (::read(watch, events, sizeof events) > 0) {
+      }
+    }
+    int status = 0;
+    exited = ::waitpid(pid, &status, WNOHANG) == pid;
+  }
+  ::close(watch);
+  if (!exited) {
+    ::kill(pid, SIGKILL);
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
+  }
+  ASSERT_TRUE(ready) << "the sweep never journaled a completed scenario";
+  const std::size_t done_at_kill = done_records(journal);
+  EXPECT_LT(done_at_kill, kCrashGridScenarios)
+      << "the kill came after the sweep";
+
+  // Resume replays the journal, keeps what validates and runs the rest.
+  const Outcome resume =
+      run_hpas("sweep " + grid + " -j 2 -o '" + out_arg + "' --resume");
+  ASSERT_EQ(resume.status, 0) << resume.output;
+  const std::string& log = resume.output;
+  std::size_t executed = 0;
+  std::size_t resumed = 0;
+  const std::size_t at = log.find("sweep: ");
+  ASSERT_NE(at, std::string::npos) << log;
+  ASSERT_EQ(std::sscanf(log.c_str() + at, "sweep: %zu executed, %zu resumed",
+                        &executed, &resumed),
+            2)
+      << log;
+  EXPECT_EQ(resumed, done_at_kill) << log;
+  EXPECT_GE(executed, 1u) << log;
+  EXPECT_EQ(executed + resumed, kCrashGridScenarios) << log;
+
+  const auto want = outputs_of(golden);
+  EXPECT_EQ(want.size(), kCrashGridScenarios + 1);  // CSVs and summary.json
+  EXPECT_EQ(outputs_of(crash), want);
 }
 
 }  // namespace

@@ -53,7 +53,8 @@ class JournalTest : public ::testing::Test {
 
 JournalRecord sample_record(int i) {
   JournalRecord rec;
-  rec.key_hash = 0x1234'5678'9abc'def0ULL + static_cast<std::uint64_t>(i);
+  rec.key_hash = std::uint64_t{0x1234'5678'9abc'def0} +
+                 static_cast<std::uint64_t>(i);
   rec.status = static_cast<JournalStatus>(1 + i % 4);
   rec.name = "scenario-" + std::to_string(i);
   rec.output = rec.name + ".csv";
@@ -92,7 +93,8 @@ TEST_F(JournalTest, RoundTripsAllFields) {
   EXPECT_TRUE(read.damage.empty()) << read.damage;
   EXPECT_EQ(read.dropped_frames, 0u);
   ASSERT_EQ(read.records.size(), 5u);
-  for (int i = 0; i < 5; ++i) expect_equal(read.records[i], sample_record(i));
+  for (int i = 0; i < 5; ++i)
+    expect_equal(read.records[static_cast<std::size_t>(i)], sample_record(i));
 }
 
 TEST_F(JournalTest, MissingFileReadsEmpty) {
@@ -136,7 +138,8 @@ TEST_F(JournalTest, TruncatedTailDropsOnlyTheLastRecord) {
   EXPECT_EQ(read.records.size(), 2u);
   EXPECT_EQ(read.dropped_frames, 1u);
   EXPECT_FALSE(read.damage.empty());
-  for (int i = 0; i < 2; ++i) expect_equal(read.records[i], sample_record(i));
+  for (int i = 0; i < 2; ++i)
+    expect_equal(read.records[static_cast<std::size_t>(i)], sample_record(i));
 }
 
 TEST_F(JournalTest, FlippedByteFailsTheCrc) {

@@ -41,7 +41,9 @@ TEST(MemGuard, AvailableMemoryIsReadableOnLinux) {
   // On any Linux with /proc this returns a sane nonzero value; elsewhere
   // nullopt is the documented answer.
   const auto avail = available_memory_bytes();
-  if (avail.has_value()) EXPECT_GT(*avail, 0u);
+  if (avail.has_value()) {
+    EXPECT_GT(*avail, 0u);
+  }
 }
 
 TEST(MemGuard, MemEaterHoldsBelowFloor) {

@@ -6,13 +6,18 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/cancel.hpp"
+#include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "runner/grid.hpp"
+#include "runner/journal.hpp"
 #include "runner/runner.hpp"
 #include "sim/world.hpp"
 
@@ -45,6 +50,21 @@ std::set<std::string> list_dir(const fs::path& dir) {
   for (const auto& entry : fs::directory_iterator(dir))
     names.insert(entry.path().filename().string());
   return names;
+}
+
+std::string read_bytes(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+/// Every file in `dir` but the journal (it carries wall times), name ->
+/// bytes.
+std::map<std::string, std::string> outputs_of(const fs::path& dir) {
+  std::map<std::string, std::string> files;
+  for (const std::string& name : list_dir(dir))
+    if (name != "sweep.journal") files[name] = read_bytes(dir / name);
+  return files;
 }
 
 class SweepOutputsTest : public ::testing::Test {
@@ -158,6 +178,91 @@ TEST_F(SweepOutputsTest, ObstructedTargetThrowsAndRemovesTemporary) {
   EXPECT_GT(fs::file_size(dir_ / "scenario0.csv"), 0u);
 }
 
+/// Neither output string owns a heap buffer: an empty string that kept
+/// its capacity would still hold the memory.
+bool holds_no_bytes(const hpas::runner::ScenarioResult& s) {
+  const std::size_t inline_capacity = std::string().capacity();
+  return s.metrics_csv.empty() && s.trace_bin.empty() &&
+         s.metrics_csv.capacity() == inline_capacity &&
+         s.trace_bin.capacity() == inline_capacity;
+}
+
+hpas::runner::SweepOptions journaled(const fs::path& dir, bool resume) {
+  hpas::runner::SweepOptions options;
+  options.threads = 2;
+  options.capture_traces = true;
+  options.journal_path = (dir / "sweep.journal").string();
+  options.resume = resume;
+  return options;
+}
+
+TEST_F(SweepOutputsTest, JournaledSweepPublishesEachOutputOnceAndHoldsNone) {
+  const auto result =
+      hpas::runner::run_sweep(tiny_grid(), journaled(dir_, false));
+  ASSERT_TRUE(result.ok()) << result.first_error();
+  EXPECT_EQ(fs::path(result.output_dir), dir_);
+  for (const auto& s : result.scenarios) {
+    EXPECT_TRUE(holds_no_bytes(s)) << s.spec.name;
+    EXPECT_GT(s.trace_records, 0u) << s.spec.name;
+  }
+  // What the slots let go of is on disk, digesting to the journaled CRCs.
+  const auto journal =
+      hpas::runner::read_journal((dir_ / "sweep.journal").string());
+  ASSERT_EQ(journal.records.size(), 2u);
+  for (const auto& rec : journal.records) {
+    EXPECT_EQ(hpas::crc32(read_bytes(dir_ / rec.output)), rec.csv_crc)
+        << rec.name;
+    EXPECT_EQ(hpas::crc32(read_bytes(dir_ / (rec.name + ".trace.bin"))),
+              rec.trace_crc)
+        << rec.name;
+  }
+}
+
+TEST_F(SweepOutputsTest, JournaledOutputsMatchAnInMemorySweepByteForByte) {
+  const fs::path memory = dir_ / "memory";
+  hpas::runner::SweepOptions in_memory = journaled(memory, false);
+  in_memory.journal_path.clear();
+  const auto held = hpas::runner::run_sweep(tiny_grid(), in_memory);
+  ASSERT_TRUE(held.ok()) << held.first_error();
+  EXPECT_TRUE(held.output_dir.empty());
+  hpas::runner::write_outputs(held, memory.string());
+
+  const fs::path published = dir_ / "journaled";
+  const auto result =
+      hpas::runner::run_sweep(tiny_grid(), journaled(published, false));
+  ASSERT_TRUE(result.ok()) << result.first_error();
+  hpas::runner::write_outputs(result, published.string());
+
+  const auto want = outputs_of(memory);
+  EXPECT_EQ(want.size(), 5u);  // two CSVs, two traces, summary.json
+  EXPECT_EQ(outputs_of(published), want);
+
+  // A resume restores both scenarios from disk and holds none of their
+  // bytes either; the summary it writes is the same.
+  const auto resumed =
+      hpas::runner::run_sweep(tiny_grid(), journaled(published, true));
+  ASSERT_TRUE(resumed.ok()) << resumed.first_error();
+  EXPECT_EQ(resumed.resumed, 2u);
+  for (const auto& s : resumed.scenarios)
+    EXPECT_TRUE(holds_no_bytes(s)) << s.spec.name;
+  hpas::runner::write_outputs(resumed, published.string());
+  EXPECT_EQ(outputs_of(published), want);
+}
+
+TEST_F(SweepOutputsTest, JournaledResultRefusesAnotherDirectory) {
+  const fs::path published = dir_ / "journaled";
+  const auto result =
+      hpas::runner::run_sweep(tiny_grid(), journaled(published, false));
+  ASSERT_TRUE(result.ok()) << result.first_error();
+  EXPECT_THROW(hpas::runner::write_outputs(result, (dir_ / "other").string()),
+               hpas::ConfigError);
+  EXPECT_FALSE(fs::exists(dir_ / "other"));
+  // The same directory under another spelling is accepted.
+  EXPECT_NO_THROW(
+      hpas::runner::write_outputs(result, (published / ".").string()));
+  EXPECT_TRUE(fs::exists(published / "summary.json"));
+}
+
 hpas::runner::ScenarioSpec valid_spec() {
   hpas::runner::ScenarioSpec spec;
   spec.name = "valid";
@@ -225,6 +330,52 @@ TEST(RunScenario, InspectSeesEveryRunThatStopsAtAnEventBoundary) {
   EXPECT_EQ(result.status, hpas::runner::ScenarioStatus::kCancelled);
   EXPECT_EQ(calls, 1);
   EXPECT_GT(nodes, 0);
+}
+
+/// Per node of the scenario's world: the number of stored series.
+std::vector<std::size_t> stored_series(hpas::runner::StoredNodes stored,
+                                       std::string* csv) {
+  std::vector<std::size_t> counts;
+  const auto result = hpas::runner::run_scenario(
+      valid_spec(), {.inspect =
+                         [&](hpas::sim::World& w) {
+                           for (int n = 0; n < w.num_nodes(); ++n)
+                             counts.push_back(w.node_store(n).metric_count());
+                         },
+                     .store_samples = stored});
+  EXPECT_EQ(result.status, hpas::runner::ScenarioStatus::kDone);
+  *csv = result.metrics_csv;
+  return counts;
+}
+
+TEST(RunScenario, StoresNodeZeroOnlyByDefault) {
+  EXPECT_EQ(hpas::runner::RunOptions{}.store_samples,
+            hpas::runner::StoredNodes::kNode0);
+  std::string csv;
+  const auto counts = stored_series(hpas::runner::StoredNodes::kNode0, &csv);
+  ASSERT_GT(counts.size(), 1u);
+  EXPECT_GT(counts[0], 0u);
+  for (std::size_t n = 1; n < counts.size(); ++n)
+    EXPECT_EQ(counts[n], 0u) << "node " << n;
+}
+
+TEST(RunScenario, AllNodesStoresEveryNodeAndNoneStoresNothing) {
+  std::string node0_csv;
+  stored_series(hpas::runner::StoredNodes::kNode0, &node0_csv);
+
+  std::string all_csv;
+  const auto all = stored_series(hpas::runner::StoredNodes::kAll, &all_csv);
+  ASSERT_GT(all.size(), 1u);
+  for (std::size_t n = 0; n < all.size(); ++n)
+    EXPECT_EQ(all[n], all[0]) << "node " << n;
+  // Node 0's samples do not depend on whether the other nodes are polled.
+  EXPECT_EQ(all_csv, node0_csv);
+
+  std::string none_csv;
+  const auto none = stored_series(hpas::runner::StoredNodes::kNone, &none_csv);
+  for (std::size_t n = 0; n < none.size(); ++n)
+    EXPECT_EQ(none[n], 0u) << "node " << n;
+  EXPECT_EQ(none_csv, "timestamp\n");
 }
 
 }  // namespace
