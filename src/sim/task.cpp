@@ -23,13 +23,15 @@ Task::Task(std::string name, int node, int core, TaskProfile profile,
 void Task::set_phase(const Phase& phase) {
   // Settle deferred counter integration for the domains this transition
   // touches *before* the phase (and thus domain membership and rates)
-  // changes, and mark them dirty for the next rate recompute.
-  if (world_ != nullptr) world_->on_task_phase_change(*this, phase);
+  // changes, and mark dirty those whose solver inputs change. When none
+  // do, the installed rates are still the solvers' answer and stay.
+  const bool keep_rates =
+      world_ != nullptr && world_->on_task_phase_change(*this, phase);
   phase_ = phase;
   remaining_ = phase.work;
   latency_left_ =
       (phase.kind == PhaseKind::kMessage) ? profile_.msg_latency_s : 0.0;
-  rates_ = TaskRates{};
+  if (!keep_rates) rates_ = TaskRates{};
   if (world_ != nullptr) world_->on_task_phase_installed(*this);
   if (tracer_) {
     // a: peer node for messages, io kind for I/O, 0 otherwise.

@@ -132,7 +132,9 @@ class Task {
 
   /// Installs a new phase (resets remaining work and message latency).
   /// Used by the World on completion and by controllers to wake idle
-  /// tasks.
+  /// tasks. Rates reset to zero until the next recompute, except in a
+  /// World when the new phase has the same solver inputs as the old (see
+  /// World::on_task_phase_change): then the installed rates are kept.
   void set_phase(const Phase& phase);
 
   /// Controller invocation; called by the World only.

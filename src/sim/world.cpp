@@ -19,6 +19,26 @@ namespace {
 /// replay happens, never its arithmetic.
 constexpr std::size_t kMaxChunkLog = 1024;
 
+/// The phase kinds Node::compute_rates reads and writes; message and I/O
+/// residents belong to the network and filesystem solvers.
+bool in_node_domain(PhaseKind kind) {
+  return kind == PhaseKind::kCompute || kind == PhaseKind::kStream ||
+         kind == PhaseKind::kSleep;
+}
+
+/// True when replacing phase `a` by `b` changes no rate-solver input: the
+/// same kind and, for a message, the same destination or, for I/O, the
+/// same operation. Profiles are fixed at spawn and no solver reads
+/// `work`, so the task's installed rates are what a re-solve would give.
+bool same_solver_inputs(const Phase& a, const Phase& b) {
+  if (a.kind != b.kind) return false;
+  switch (a.kind) {
+    case PhaseKind::kMessage: return a.peer_node == b.peer_node;
+    case PhaseKind::kIo: return a.io_kind == b.io_kind;
+    default: return true;
+  }
+}
+
 bool env_full_recompute() {
   const char* env = std::getenv("HPAS_FULL_RECOMPUTE");
   return env != nullptr && env[0] != '\0' &&
@@ -213,11 +233,7 @@ void World::sync_node_domain(int id) {
   for (std::uint32_t k = cursor; k < end; ++k) {
     const double dt = chunk_dt_[k];
     for (Task* task : residents) {
-      const PhaseKind kind = task->phase_.kind;
-      if (kind == PhaseKind::kCompute || kind == PhaseKind::kStream ||
-          kind == PhaseKind::kSleep) {
-        apply_counter_chunk(*task, dt);
-      }
+      if (in_node_domain(task->phase_.kind)) apply_counter_chunk(*task, dt);
     }
   }
   cursor = end;
@@ -316,22 +332,27 @@ void World::mark_all_dirty() {
   fs_dirty_ = true;
 }
 
-void World::on_task_phase_change(Task& task, const Phase& next) {
-  const PhaseKind old_kind = task.phase_.kind;
-  sync_domain_of(old_kind, task.node_);
+bool World::on_task_phase_change(Task& task, const Phase& next) {
+  const Phase& old = task.phase_;
+  sync_domain_of(old.kind, task.node_);
   sync_domain_of(next.kind, task.node_);
-  note_domain_entry(old_kind, task.node_, -1);
+  if (!full_recompute_ && same_solver_inputs(old, next)) return true;
+  note_domain_entry(old.kind, task.node_, -1);
   note_domain_entry(next.kind, task.node_, +1);
-  mark_node_dirty(task.node_);
-  if (old_kind == PhaseKind::kMessage || next.kind == PhaseKind::kMessage)
+  if (in_node_domain(old.kind) || in_node_domain(next.kind))
+    mark_node_dirty(task.node_);
+  if (old.kind == PhaseKind::kMessage || next.kind == PhaseKind::kMessage)
     net_dirty_ = true;
-  if (old_kind == PhaseKind::kIo || next.kind == PhaseKind::kIo)
+  if (old.kind == PhaseKind::kIo || next.kind == PhaseKind::kIo)
     fs_dirty_ = true;
+  return false;
 }
 
 void World::on_task_phase_installed(Task& task) {
   task.sync_remaining_ = task.remaining_;
   task.sync_latency_ = task.latency_left_;
+  if (task.active() && task.remaining_ <= 0.0 && task.latency_left_ <= 0.0)
+    completion_pending_ = true;
 }
 
 void World::set_full_recompute(bool on) {
@@ -361,20 +382,22 @@ void World::advance_tasks(double dt) {
 void World::handle_completions() {
   // Controllers may finish tasks or wake others; iterate to a fixed point
   // but bound the passes to avoid a buggy controller looping forever.
+  // Advancing happens outside this loop, so a task can only be complete
+  // after a pass if that pass installed an already-complete phase (a
+  // zero-work phase, a wake, a spawn); without one, another pass would
+  // find nothing.
   for (int pass = 0; pass < 64; ++pass) {
-    bool any = false;
+    completion_pending_ = false;
     // Snapshot: controllers can spawn/kill during iteration. (Reused
     // buffer; the killed_ flag replaces the old O(n) membership re-scan.)
     completion_scratch_ = task_ptrs_;
     for (Task* task : completion_scratch_) {
       if (task->killed_) continue;  // killed by an earlier controller
       if (!task->active()) continue;
-      if (task->remaining() <= 0.0 && task->latency_left() <= 0.0) {
+      if (task->remaining() <= 0.0 && task->latency_left() <= 0.0)
         task->set_phase(task->next_phase());
-        any = true;
-      }
     }
-    if (!any) return;
+    if (!completion_pending_) return;
   }
   throw InvariantError("World: phase-completion cascade did not settle");
 }

@@ -21,11 +21,17 @@
 // The loop above is the *semantic* model; the implementation is
 // incremental (see DESIGN.md, "Incremental rate recomputation"):
 //   * rate recomputation is dirty-set driven -- spawn, kill and phase
-//     transitions mark only the affected node(s),
-//     the network flow set, or the filesystem, and recompute_rates()
-//     re-solves just those domains. Clean domains keep their installed
-//     rates, which are identical because the solvers are deterministic
-//     functions of unchanged inputs;
+//     transitions mark only the domains whose solver inputs changed: the
+//     task's node when the old or new kind is compute, stream or sleep,
+//     the network when either is a message, the filesystem when either
+//     is I/O. A transition to the same kind with the same peer (message)
+//     or I/O kind (I/O) changes no input, keeps the task's rates and
+//     marks nothing. recompute_rates() re-solves just the marked
+//     domains. Clean domains keep their installed rates, which are
+//     identical because the solvers are deterministic functions of
+//     unchanged inputs;
+//   * completions are settled in one pass unless that pass installed a
+//     phase that is already complete;
 //   * counter integration is lazy -- advance_tasks still moves every
 //     active task's remaining-work eagerly (completion times feed event
 //     scheduling), but the node/network/filesystem counter accumulation
@@ -151,8 +157,10 @@ class World {
   /// Incremental-engine hooks, invoked by Task::set_phase (and kept
   /// public for it; not useful to call directly). They settle deferred
   /// counter integration for the domains a phase change touches and mark
-  /// those domains dirty.
-  void on_task_phase_change(Task& task, const Phase& next);
+  /// dirty those whose solver inputs change. on_task_phase_change returns
+  /// true when none change, and the task then keeps its installed rates
+  /// (never in full-recompute mode).
+  bool on_task_phase_change(Task& task, const Phase& next);
   void on_task_phase_installed(Task& task);
 
  private:
@@ -205,6 +213,9 @@ class World {
   std::vector<int> node_active_;
   int message_tasks_ = 0;
   int io_tasks_ = 0;
+  /// Set when a phase is installed that is already complete; tells
+  /// handle_completions that another pass has work.
+  bool completion_pending_ = false;
 
   // Hot-path scratch (no per-event allocation once warm).
   std::vector<Task*> completion_scratch_;

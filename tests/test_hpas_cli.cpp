@@ -8,9 +8,10 @@
 //
 // Crash safety: a sweep SIGKILLed once its journal holds a completed
 // record, then resumed, is byte-identical to an uninterrupted run (the
-// journal carries wall times and is excluded). Readiness is observed
-// through inotify on the output directory, so the kill lands mid-sweep
-// without any fixed delay.
+// journal carries wall times and is excluded). So is a sweep stopped by
+// one SIGINT: it drains, exits 0 and leaves a journal that --resume
+// completes. Readiness is observed through inotify on the output
+// directory, so the signal lands mid-sweep without any fixed delay.
 #include <gtest/gtest.h>
 
 #include <poll.h>
@@ -130,67 +131,68 @@ class HpasCliSweep : public ::testing::Test {
   fs::path base_;
 };
 
-TEST_F(HpasCliSweep, SigkillMidSweepThenResumeIsByteIdentical) {
-  const std::string grid = std::string("'") + HPAS_CRASH_GRID + "'";
-  const fs::path golden = base_ / "golden";
-  const fs::path crash = base_ / "crash";
-  const Outcome reference =
-      run_hpas("sweep " + grid + " -j 2 -o '" + golden.string() + "'");
-  ASSERT_EQ(reference.status, 0) << reference.output;
+/// A sweep of the crash grid, forked and exec'd with -j 2.
+struct LiveSweep {
+  pid_t pid = -1;
+  bool ready = false;   ///< its journal held a completed record
+  bool exited = false;  ///< it exited before that was seen (status below)
+  int status = 0;
+};
 
-  // Watch the output directory before the sweep starts, so no journal
-  // append can slip between a check and the wait that follows it.
-  fs::create_directories(crash);
+/// Starts `hpas sweep` of the crash grid into `out` and returns once the
+/// journal holds a completed record, the sweep has exited, or 60 s have
+/// passed. The directory is watched before the sweep starts, so no
+/// journal append can slip between a check and the wait that follows it,
+/// and the caller's signal lands mid-sweep without any fixed delay.
+LiveSweep start_sweep_until_first_done(const fs::path& out) {
+  LiveSweep sweep;
+  fs::create_directories(out);
   const int watch = ::inotify_init1(IN_CLOEXEC | IN_NONBLOCK);
-  ASSERT_GE(watch, 0);
-  ASSERT_GE(::inotify_add_watch(watch, crash.c_str(),
-                                IN_MODIFY | IN_CREATE | IN_MOVED_TO),
-            0);
+  if (watch < 0) return sweep;
+  if (::inotify_add_watch(watch, out.c_str(),
+                          IN_MODIFY | IN_CREATE | IN_MOVED_TO) < 0) {
+    ::close(watch);
+    return sweep;
+  }
 
-  const std::string out_arg = crash.string();
-  const pid_t pid = ::fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
+  const std::string out_arg = out.string();
+  sweep.pid = ::fork();
+  if (sweep.pid == 0) {
     if (std::freopen("/dev/null", "w", stdout) == nullptr) ::_exit(126);
     ::execl(HPAS_BIN, "hpas", "sweep", HPAS_CRASH_GRID, "-j", "2", "-o",
             out_arg.c_str(), static_cast<char*>(nullptr));
     ::_exit(127);
   }
 
-  // Ready: the journal holds a completed record. Each journal append is
-  // an inotify event, so the loop re-reads the journal only when it grew.
-  const std::string journal = (crash / "sweep.journal").string();
+  // Each journal append is an inotify event, so the loop re-reads the
+  // journal only when it grew.
+  const std::string journal = (out / "sweep.journal").string();
   const auto give_up =
       std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  bool ready = false;
-  bool exited = false;
-  while (!exited && std::chrono::steady_clock::now() < give_up) {
-    ready = done_records(journal) > 0;
-    if (ready) break;
+  while (sweep.pid > 0 && !sweep.exited &&
+         std::chrono::steady_clock::now() < give_up) {
+    sweep.ready = done_records(journal) > 0;
+    if (sweep.ready) break;
     pollfd pfd{watch, POLLIN, 0};
     if (::poll(&pfd, 1, /*timeout_ms=*/1000) > 0) {
       char events[4096];
       while (::read(watch, events, sizeof events) > 0) {
       }
     }
-    int status = 0;
-    exited = ::waitpid(pid, &status, WNOHANG) == pid;
+    sweep.exited = ::waitpid(sweep.pid, &sweep.status, WNOHANG) == sweep.pid;
   }
   ::close(watch);
-  if (!exited) {
-    ::kill(pid, SIGKILL);
-    int status = 0;
-    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-    EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
-  }
-  ASSERT_TRUE(ready) << "the sweep never journaled a completed scenario";
-  const std::size_t done_at_kill = done_records(journal);
-  EXPECT_LT(done_at_kill, kCrashGridScenarios)
-      << "the kill came after the sweep";
+  return sweep;
+}
 
-  // Resume replays the journal, keeps what validates and runs the rest.
+/// Resumes the sweep in `out` and checks the merged result: `resumed`
+/// scenarios come from the journal, the rest run, and every output but
+/// the journal matches the uninterrupted run in `golden`.
+void expect_resume_matches(const fs::path& out, const fs::path& golden,
+                           std::size_t resumed_want) {
+  const std::string grid = std::string("'") + HPAS_CRASH_GRID + "'";
   const Outcome resume =
-      run_hpas("sweep " + grid + " -j 2 -o '" + out_arg + "' --resume");
+      run_hpas("sweep " + grid + " -j 2 -o '" + out.string() + "' --resume");
   ASSERT_EQ(resume.status, 0) << resume.output;
   const std::string& log = resume.output;
   std::size_t executed = 0;
@@ -201,13 +203,69 @@ TEST_F(HpasCliSweep, SigkillMidSweepThenResumeIsByteIdentical) {
                         &executed, &resumed),
             2)
       << log;
-  EXPECT_EQ(resumed, done_at_kill) << log;
+  EXPECT_EQ(resumed, resumed_want) << log;
   EXPECT_GE(executed, 1u) << log;
   EXPECT_EQ(executed + resumed, kCrashGridScenarios) << log;
 
   const auto want = outputs_of(golden);
   EXPECT_EQ(want.size(), kCrashGridScenarios + 1);  // CSVs and summary.json
-  EXPECT_EQ(outputs_of(crash), want);
+  EXPECT_EQ(outputs_of(out), want);
+}
+
+TEST_F(HpasCliSweep, SigkillMidSweepThenResumeIsByteIdentical) {
+  const std::string grid = std::string("'") + HPAS_CRASH_GRID + "'";
+  const fs::path golden = base_ / "golden";
+  const fs::path crash = base_ / "crash";
+  const Outcome reference =
+      run_hpas("sweep " + grid + " -j 2 -o '" + golden.string() + "'");
+  ASSERT_EQ(reference.status, 0) << reference.output;
+
+  const LiveSweep sweep = start_sweep_until_first_done(crash);
+  ASSERT_GT(sweep.pid, 0);
+  if (!sweep.exited) {
+    ::kill(sweep.pid, SIGKILL);
+    int status = 0;
+    ASSERT_EQ(::waitpid(sweep.pid, &status, 0), sweep.pid);
+    EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
+  }
+  ASSERT_TRUE(sweep.ready) << "the sweep never journaled a completed scenario";
+  const std::size_t done_at_kill =
+      done_records((crash / "sweep.journal").string());
+  EXPECT_LT(done_at_kill, kCrashGridScenarios)
+      << "the kill came after the sweep";
+
+  // Resume replays the journal, keeps what validates and runs the rest.
+  expect_resume_matches(crash, golden, done_at_kill);
+}
+
+TEST_F(HpasCliSweep, SigintDrainLeavesResumableJournal) {
+  const std::string grid = std::string("'") + HPAS_CRASH_GRID + "'";
+  const fs::path golden = base_ / "golden";
+  const fs::path drain = base_ / "drain";
+  const Outcome reference =
+      run_hpas("sweep " + grid + " -j 2 -o '" + golden.string() + "'");
+  ASSERT_EQ(reference.status, 0) << reference.output;
+
+  // One SIGINT once a scenario is journaled: the sweep drains what is in
+  // flight, journals it and exits 0.
+  const LiveSweep sweep = start_sweep_until_first_done(drain);
+  ASSERT_GT(sweep.pid, 0);
+  ASSERT_FALSE(sweep.exited) << "the sweep finished before the signal";
+  ::kill(sweep.pid, SIGINT);
+  int status = 0;
+  ASSERT_EQ(::waitpid(sweep.pid, &status, 0), sweep.pid);
+  ASSERT_TRUE(sweep.ready) << "the sweep never journaled a completed scenario";
+  ASSERT_TRUE(WIFEXITED(status)) << "the drain did not exit normally";
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+
+  // A sweep that outran the signal would journal every scenario and
+  // leave nothing for the drain to have stopped.
+  const std::size_t done_at_drain =
+      done_records((drain / "sweep.journal").string());
+  EXPECT_LT(done_at_drain, kCrashGridScenarios)
+      << "the signal came after the sweep";
+
+  expect_resume_matches(drain, golden, done_at_drain);
 }
 
 }  // namespace

@@ -4,14 +4,16 @@
 // HPAS_FULL_RECOMPUTE=1), which re-solves every domain and integrates
 // every counter on every event exactly like the original eager loop.
 //
-// Four layers of evidence, strongest first: the fig05 memleak trace
+// Five layers of evidence, strongest first: the fig05 memleak trace
 // (every event, rate, memory and sample record), a mixed scenario that
 // keeps all three counter domains (node, network, filesystem) busy at
 // once, a "storm" world that contests every event boundary (kill, spawn
 // and wake bursts at tied timestamps, cross-node messages, filesystem
 // writes, cancellation tombstones) compared down to
-// every counter's bits, and a whole sweep output directory (CSVs +
-// traces + summary) compared file-by-file.
+// every counter's bits, a task whose phases keep their kind but change
+// a solver input (message peer, I/O operation) on shared links and disk,
+// and a whole sweep output directory (CSVs + traces + summary) for no
+// anomaly and every anomaly kind, compared file-by-file.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -132,6 +134,7 @@ std::string counter_digest(sim::World& world) {
   }
   append_bits(digest, world.filesystem().counters().bytes_written);
   append_bits(digest, world.filesystem().counters().bytes_read);
+  append_bits(digest, world.filesystem().counters().metadata_ops);
   return digest;
 }
 
@@ -304,15 +307,88 @@ TEST(IncrementalEquivalence, ModeSwitchMidRunIsInvisible) {
   }
 }
 
+// --- same kind, new solver input --------------------------------------
+
+/// One task walks a script of phases on node 0 of a 2x2 two-tier world
+/// while long-lived background load shares every resource it touches: a
+/// flow 1 -> 2 across the slower inter-switch trunk, a greedy writer, and
+/// a compute task on its node. Each adjacent pair of phases keeps its
+/// kind but changes what a solver reads (message peer, I/O operation) or
+/// changes kind, so a re-solve the incremental engine skips there leaves
+/// wrong rates -- the script's and the background's -- and moves both
+/// the trace and the counters. The two same-input steps (a second
+/// message to peer 2, a second write) check that keeping rates is right.
+/// Returns the trace text followed by the counter digest.
+std::string same_kind_input_change_run(bool full_recompute) {
+  sim::World world(sim::NodeConfig{},
+                   sim::Topology::two_tier(2, 2, 10e9, 4e9),
+                   sim::FsConfig{.metadata_ops_per_s = 30000.0,
+                                 .disk_write_bw = 2.0e9,
+                                 .disk_read_bw = 3.0e9,
+                                 .dedicated_mds = false,
+                                 .metadata_disk_cost_s = 1.0e-5});
+  world.set_full_recompute(full_recompute);
+  hpas::trace::TraceCapture capture;
+  world.attach_tracer(&capture.tracer());
+
+  const auto forever = [](sim::Task& t) { return t.phase(); };
+  world.spawn_task("cross", 1, 0, sim::TaskProfile{},
+                   sim::Phase::message(2, 1.0e12), forever);
+  world.spawn_task("writer", 3, 0, sim::TaskProfile{},
+                   sim::Phase::io(sim::IoKind::kWrite, 1.0e12), forever);
+  world.spawn_task("neighbour", 0, 1, sim::TaskProfile{},
+                   sim::Phase::compute(1.0e13), forever);
+
+  const std::vector<sim::Phase> script = {
+      sim::Phase::message(1, 2.0e9),
+      sim::Phase::message(2, 2.0e9),  // same kind, new peer
+      sim::Phase::message(2, 2.0e9),  // same inputs
+      sim::Phase::message(0, 2.0e9),  // loopback
+      sim::Phase::io(sim::IoKind::kWrite, 1.0e9),
+      sim::Phase::io(sim::IoKind::kWrite, 1.0e9),  // same inputs
+      sim::Phase::io(sim::IoKind::kRead, 1.0e9),   // same kind, new op
+      sim::Phase::io(sim::IoKind::kMetadata, 3000.0),
+      sim::Phase::compute(2.0e9),
+      sim::Phase::stream(2.0e9),
+  };
+  sim::TaskProfile walker;
+  walker.stream_bw_demand = 12.5e9;
+  sim::Task* task = world.spawn_task(
+      "walker", 0, 0, walker, script.front(),
+      [script, next = std::size_t{1}](sim::Task&) mutable {
+        return next < script.size() ? script[next++] : sim::Phase::done();
+      });
+  world.run_until(12.0);
+  EXPECT_TRUE(task->done()) << "the script did not finish in the window";
+
+  std::string run = text_form(capture.take());
+  run += counter_digest(world);
+  return run;
+}
+
+TEST(IncrementalEquivalence, SameKindInputChangesStillReSolve) {
+  const std::string incremental = same_kind_input_change_run(false);
+  const std::string full = same_kind_input_change_run(true);
+  ASSERT_FALSE(incremental.empty());
+  EXPECT_TRUE(incremental == full)
+      << "a same-kind phase change with a new peer or I/O kind kept stale "
+         "rates";
+}
+
 // --- whole-sweep directory comparison ---------------------------------
 
 hpas::runner::SweepGrid equivalence_grid() {
-  // fig08-shaped but shortened: one app, anomalies covering the CPU,
-  // memory-bandwidth and network domains, fixed monitoring window.
+  // fig08-shaped but shortened: one app, no anomaly plus every anomaly
+  // kind, fixed monitoring window. Between them they take every
+  // same-input transition the engine keeps rates across (compute,
+  // stream, sleep, message to the same peer, metadata after metadata)
+  // and iobandwidth's write/read alternation, which must re-solve.
   hpas::runner::SweepGrid grid;
   grid.name = "equivalence_grid";
   int index = 0;
-  for (const char* anomaly : {"none", "membw", "netoccupy", "memleak"}) {
+  for (const char* anomaly :
+       {"none", "cpuoccupy", "cachecopy", "membw", "memleak", "memeater",
+        "netoccupy", "iobandwidth", "iometadata"}) {
     hpas::runner::ScenarioSpec spec;
     spec.name = "eq_" + std::string(anomaly);
     spec.app = "CoMD";
