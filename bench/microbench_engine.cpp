@@ -175,7 +175,7 @@ WorldResult bench_world(int nodes, bool full_recompute, double sim_seconds) {
                        return hpas::sim::Phase::compute(work);
                      });
   }
-  // Warm-up: populate every scratch buffer and the chunk log capacity.
+  // Warm-up: populate every scratch buffer.
   world.run_until(0.05);
   const std::uint64_t warm_completions = completions;
   const std::uint64_t start_allocs =

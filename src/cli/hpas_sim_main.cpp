@@ -136,9 +136,10 @@ int run(const hpas::ParsedArgs& args) {
 
   // First signal: cancel cooperatively at the next event boundary and
   // fall through to the normal export path with whatever was simulated.
-  // Second signal: exit 130 right from the watcher thread.
+  // Second signal: exit 130 right from the watcher thread. Subscribing
+  // before the handlers go in means a signal is never caught with no one
+  // to act on it.
   static hpas::CancelToken cancel;
-  hpas::ShutdownController::instance().install();
   const std::uint64_t subscription =
       hpas::ShutdownController::instance().subscribe([](int count) {
         if (count == 1) {
@@ -150,6 +151,7 @@ int run(const hpas::ParsedArgs& args) {
           std::_Exit(130);
         }
       });
+  hpas::ShutdownController::instance().install();
 
   // Node 0's CSV is the result's metrics_csv; the other nodes' are taken
   // from the world before run_scenario tears it down, interrupted or not.

@@ -1,5 +1,6 @@
 #include "sim/task.hpp"
 
+#include <algorithm>
 #include <limits>
 
 #include "common/error.hpp"
@@ -21,10 +22,9 @@ Task::Task(std::string name, int node, int core, TaskProfile profile,
 }
 
 void Task::set_phase(const Phase& phase) {
-  // Settle deferred counter integration for the domains this transition
-  // touches *before* the phase (and thus domain membership and rates)
-  // changes, and mark dirty those whose solver inputs change. When none
-  // do, the installed rates are still the solvers' answer and stay.
+  // Mark dirty the domains whose solver inputs this transition changes.
+  // When none do, the installed rates are still the solvers' answer and
+  // stay.
   const bool keep_rates =
       world_ != nullptr && world_->on_task_phase_change(*this, phase);
   phase_ = phase;
@@ -52,13 +52,6 @@ double Task::completion_tolerance() const {
   // whose eta underflows the simulator clock's double resolution. Use a
   // tolerance relative to the phase's total work.
   return std::max(1e-9, 1e-9 * phase_.work);
-}
-
-bool Task::advance(double dt) {
-  if (phase_.kind == PhaseKind::kDone || phase_.kind == PhaseKind::kIdle)
-    return false;
-  return advance_step(dt, rates_.progress, completion_tolerance(), remaining_,
-                      latency_left_);
 }
 
 double Task::eta() const {

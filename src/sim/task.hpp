@@ -20,7 +20,6 @@
 // anomaly injectors) are state machines in src/apps and src/simanom.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -96,7 +95,7 @@ struct TaskCounters {
 };
 
 /// Rates assigned by the resource models at the last recompute; consumed
-/// by World::advance to progress work and accumulate node counters.
+/// by World::advance_task to progress work and accumulate node counters.
 struct TaskRates {
   double progress = 0.0;     ///< work units/s in the current phase
   double cpu_share = 0.0;    ///< cores actually consumed
@@ -140,33 +139,6 @@ class Task {
   /// Controller invocation; called by the World only.
   Phase next_phase() { return next_phase_(*this); }
 
-  /// Advances the current phase by dt at the cached rates. Returns true
-  /// if the phase just completed.
-  bool advance(double dt);
-
-  /// The single source of truth for phase-progress arithmetic, shared by
-  /// advance() and the World's deferred counter integration. Replaying
-  /// the same (dt, progress) sequence through this function reproduces
-  /// the remaining/latency trajectory bit-for-bit, which is what makes
-  /// lazy counter integration exact. Returns true when the phase is
-  /// complete after the step.
-  static bool advance_step(double dt, double progress, double tolerance,
-                           double& remaining, double& latency_left) {
-    // Message startup latency elapses before bytes flow.
-    if (latency_left > 0.0) {
-      const double lat = std::min(latency_left, dt);
-      latency_left -= lat;
-      dt -= lat;
-      if (dt <= 0.0) return remaining <= 0.0 && latency_left <= 1e-15;
-    }
-    remaining -= progress * dt;
-    if (remaining <= tolerance) {
-      remaining = 0.0;
-      return true;
-    }
-    return false;
-  }
-
   TaskRates& rates() { return rates_; }
   const TaskRates& rates() const { return rates_; }
 
@@ -193,9 +165,9 @@ class Task {
 
   /// Wires the task to its owning World. A wired task notifies the World
   /// around phase changes, which is how the incremental engine tracks
-  /// dirty resource domains and settles lazy counter integration at
-  /// exactly the right boundaries. Null (the default, for standalone
-  /// model tests) disables the hooks.
+  /// dirty resource domains and keeps the rates of a transition that
+  /// changes no solver input. Null (the default, for standalone model
+  /// tests) disables the hooks.
   void set_world(World* world) { world_ = world; }
 
   /// True once World::kill_task removed the task from the live set; lets
@@ -223,13 +195,6 @@ class Task {
   std::uint32_t trace_id_ = 0;
   World* world_ = nullptr;
   bool killed_ = false;
-
-  // Deferred-integration shadow of (remaining_, latency_left_): the
-  // trajectory as of this task's counter domain cursor. The World replays
-  // logged time chunks through advance_step to move these forward,
-  // reproducing the eagerly-advanced values bit-for-bit.
-  double sync_remaining_ = 0.0;
-  double sync_latency_ = 0.0;
 };
 
 }  // namespace hpas::sim

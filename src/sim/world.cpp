@@ -13,12 +13,6 @@
 namespace hpas::sim {
 namespace {
 
-/// Deferred-integration chunk log bound. When an update would push the
-/// log past this, every domain is settled first and the log truncated, so
-/// memory stays O(1) in simulated time. The bound only affects *when*
-/// replay happens, never its arithmetic.
-constexpr std::size_t kMaxChunkLog = 1024;
-
 /// The phase kinds Node::compute_rates reads and writes; message and I/O
 /// residents belong to the network and filesystem solvers.
 bool in_node_domain(PhaseKind kind) {
@@ -39,6 +33,21 @@ bool same_solver_inputs(const Phase& a, const Phase& b) {
   }
 }
 
+/// Phase-progress arithmetic for one step of dt at `progress` work
+/// units/s: message startup latency elapses first, then work drains, and
+/// a residue within `tolerance` is clamped to zero.
+void advance_step(double dt, double progress, double tolerance,
+                  double& remaining, double& latency_left) {
+  if (latency_left > 0.0) {
+    const double lat = std::min(latency_left, dt);
+    latency_left -= lat;
+    dt -= lat;
+    if (dt <= 0.0) return;
+  }
+  remaining -= progress * dt;
+  if (remaining <= tolerance) remaining = 0.0;
+}
+
 bool env_full_recompute() {
   const char* env = std::getenv("HPAS_FULL_RECOMPUTE");
   return env != nullptr && env[0] != '\0' &&
@@ -55,8 +64,6 @@ World::World(NodeConfig node_config, Topology topology, FsConfig fs_config)
     nodes_.push_back(std::make_unique<Node>(i, node_config));
   node_tasks_.resize(static_cast<std::size_t>(n));
   node_dirty_.assign(static_cast<std::size_t>(n), 0);
-  node_cursor_.assign(static_cast<std::size_t>(n), 0);
-  node_active_.assign(static_cast<std::size_t>(n), 0);
   full_recompute_ = env_full_recompute();
   oom_ = [](World& world, Task& requester) {
     log_warn("sim: OOM on node ", requester.node(), "; killing '",
@@ -108,11 +115,9 @@ void World::kill_task(Task* task) {
     node(task->node()).adjust_memory(-task->allocated_bytes());
     task->set_allocated_bytes(0.0);
   }
-  // set_phase(done) settles the victim's counter domain through the
-  // chunk log; the not-yet-logged interval since the last update is
-  // deliberately dropped for the victim (a killed task accrues nothing
-  // for the partial interval it died in -- the original eager loop had
-  // the same semantics because the erase happened before its update).
+  // Counters are folded in up to the last update; a killed task accrues
+  // nothing for the partial interval it died in, because the erase below
+  // comes before the next advance.
   task->set_phase(Phase::done());
   task->killed_ = true;
   task_ptrs_.erase(std::remove(task_ptrs_.begin(), task_ptrs_.end(), task),
@@ -145,29 +150,21 @@ bool World::allocate_memory(Task* task, double delta_bytes) {
 }
 
 // ---------------------------------------------------------------------------
-// Deferred counter integration.
+// Counter integration.
 //
-// advance_tasks() moves every active task's remaining-work eagerly (the
-// completion scan needs it each event) but only *logs* the dt chunk; the
-// counter arithmetic below runs later, when a domain is next observed.
-// Replay walks chunks outermost and a domain's members innermost, in
-// task_ptrs_ order -- the exact fold order the eager loop used for every
-// shared accumulator -- and advances each task's shadow
-// (sync_remaining_, sync_latency_) through the same advance_step calls,
-// so progressed/eff_dt and every += reproduce bit-for-bit.
-//
-// The invariant that makes membership-by-current-phase exact: any phase
-// change (and any profile mutation or rate reinstall) settles the domains
-// it touches *first*, so within a domain's pending replay range no
-// member's phase, profile, or rates ever changed.
+// advance_tasks() steps every active task once per event and folds the
+// step into the counters on the spot, in task_ptrs_ order. Each counter
+// field has one writer domain (node CPU/cache/DRAM: compute and stream
+// residents; nic_tx/nic_rx: messages; FsCounters: I/O), so every shared
+// accumulator receives its terms chunk by chunk, tasks in list order.
 // ---------------------------------------------------------------------------
 
-void World::apply_counter_chunk(Task& task, double dt) {
-  const double before = task.sync_remaining_;
-  const TaskRates rates = task.rates_;
-  Task::advance_step(dt, rates.progress, task.completion_tolerance(),
-                     task.sync_remaining_, task.sync_latency_);
-  const double progressed = before - task.sync_remaining_;
+void World::advance_task(Task& task, double dt) {
+  const double before = task.remaining_;
+  const TaskRates& rates = task.rates_;
+  advance_step(dt, rates.progress, task.completion_tolerance(),
+               task.remaining_, task.latency_left_);
+  const double progressed = before - task.remaining_;
   const double eff_dt =
       rates.progress > 0.0 ? progressed / rates.progress : 0.0;
 
@@ -214,109 +211,7 @@ void World::apply_counter_chunk(Task& task, double dt) {
       break;
     }
     default:
-      break;  // kSleep advances the shadow but writes no counters
-  }
-}
-
-void World::sync_node_domain(int id) {
-  const auto uid = static_cast<std::size_t>(id);
-  std::uint32_t& cursor = node_cursor_[uid];
-  const auto end = static_cast<std::uint32_t>(chunk_dt_.size());
-  if (cursor == end) return;
-  if (node_active_[uid] == 0) {
-    // No compute/stream/sleep resident since the last settle (every
-    // membership change settles first), so the range is a no-op.
-    cursor = end;
-    return;
-  }
-  const std::vector<Task*>& residents = node_tasks_[uid];
-  for (std::uint32_t k = cursor; k < end; ++k) {
-    const double dt = chunk_dt_[k];
-    for (Task* task : residents) {
-      if (in_node_domain(task->phase_.kind)) apply_counter_chunk(*task, dt);
-    }
-  }
-  cursor = end;
-}
-
-void World::sync_network_domain() {
-  const auto end = static_cast<std::uint32_t>(chunk_dt_.size());
-  if (net_cursor_ == end) return;
-  if (message_tasks_ == 0) {
-    net_cursor_ = end;
-    return;
-  }
-  for (std::uint32_t k = net_cursor_; k < end; ++k) {
-    const double dt = chunk_dt_[k];
-    for (Task* task : task_ptrs_) {
-      if (task->phase_.kind == PhaseKind::kMessage)
-        apply_counter_chunk(*task, dt);
-    }
-  }
-  net_cursor_ = end;
-}
-
-void World::sync_fs_domain() {
-  const auto end = static_cast<std::uint32_t>(chunk_dt_.size());
-  if (fs_cursor_ == end) return;
-  if (io_tasks_ == 0) {
-    fs_cursor_ = end;
-    return;
-  }
-  for (std::uint32_t k = fs_cursor_; k < end; ++k) {
-    const double dt = chunk_dt_[k];
-    for (Task* task : task_ptrs_) {
-      if (task->phase_.kind == PhaseKind::kIo) apply_counter_chunk(*task, dt);
-    }
-  }
-  fs_cursor_ = end;
-}
-
-void World::sync_all_domains() {
-  if (!chunk_dt_.empty()) {
-    for (int i = 0; i < num_nodes(); ++i) sync_node_domain(i);
-    sync_network_domain();
-    sync_fs_domain();
-  }
-  chunk_dt_.clear();
-  std::fill(node_cursor_.begin(), node_cursor_.end(), 0u);
-  net_cursor_ = 0;
-  fs_cursor_ = 0;
-}
-
-void World::sync_domain_of(PhaseKind kind, int node_id) {
-  switch (kind) {
-    case PhaseKind::kCompute:
-    case PhaseKind::kStream:
-    case PhaseKind::kSleep:
-      sync_node_domain(node_id);
-      break;
-    case PhaseKind::kMessage:
-      sync_network_domain();
-      break;
-    case PhaseKind::kIo:
-      sync_fs_domain();
-      break;
-    default:
-      break;  // idle/done belong to no counter domain
-  }
-}
-
-void World::note_domain_entry(PhaseKind kind, int node_id, int delta) {
-  switch (kind) {
-    case PhaseKind::kCompute:
-    case PhaseKind::kStream:
-    case PhaseKind::kSleep:
-      node_active_[static_cast<std::size_t>(node_id)] += delta;
-      break;
-    case PhaseKind::kMessage:
-      message_tasks_ += delta;
-      break;
-    case PhaseKind::kIo:
-      io_tasks_ += delta;
-      break;
-    default:
-      break;
+      break;  // kSleep advances but writes no counters
   }
 }
 
@@ -334,11 +229,7 @@ void World::mark_all_dirty() {
 
 bool World::on_task_phase_change(Task& task, const Phase& next) {
   const Phase& old = task.phase_;
-  sync_domain_of(old.kind, task.node_);
-  sync_domain_of(next.kind, task.node_);
   if (!full_recompute_ && same_solver_inputs(old, next)) return true;
-  note_domain_entry(old.kind, task.node_, -1);
-  note_domain_entry(next.kind, task.node_, +1);
   if (in_node_domain(old.kind) || in_node_domain(next.kind))
     mark_node_dirty(task.node_);
   if (old.kind == PhaseKind::kMessage || next.kind == PhaseKind::kMessage)
@@ -349,34 +240,19 @@ bool World::on_task_phase_change(Task& task, const Phase& next) {
 }
 
 void World::on_task_phase_installed(Task& task) {
-  task.sync_remaining_ = task.remaining_;
-  task.sync_latency_ = task.latency_left_;
   if (task.active() && task.remaining_ <= 0.0 && task.latency_left_ <= 0.0)
     completion_pending_ = true;
-}
-
-void World::set_full_recompute(bool on) {
-  if (on == full_recompute_) return;
-  sync_all_domains();
-  full_recompute_ = on;
 }
 
 // ---------------------------------------------------------------------------
 
 void World::advance_tasks(double dt) {
-  // dt == 0 still runs: Task::advance clamps within-tolerance residues to
+  // dt == 0 still runs: advance_step clamps within-tolerance residues to
   // zero so handle_completions sees them.
   if (dt < 0.0) return;
-  if (chunk_dt_.size() >= kMaxChunkLog) sync_all_domains();
-  chunk_dt_.push_back(dt);
   for (Task* task : task_ptrs_) {
-    if (!task->active()) continue;
-    task->advance(dt);
+    if (task->active()) advance_task(*task, dt);
   }
-  // Reference mode: integrate every counter immediately, exactly like the
-  // original eager loop (the replay arithmetic is the same; the chunk is
-  // just consumed on the spot).
-  if (full_recompute_) sync_all_domains();
 }
 
 void World::handle_completions() {
@@ -405,12 +281,10 @@ void World::handle_completions() {
 void World::recompute_rates() {
   if (full_recompute_) mark_all_dirty();
 
-  // Each dirty domain settles its deferred counters (with the rates that
-  // were in effect) before new rates are installed. Clean domains keep
-  // their installed rates -- bit-identical, because the solvers are
-  // deterministic functions of inputs that have not changed.
+  // Clean domains keep their installed rates -- bit-identical, because
+  // the solvers are deterministic functions of inputs that have not
+  // changed.
   for (const int id : dirty_nodes_) {
-    sync_node_domain(id);
     nodes_[static_cast<std::size_t>(id)]->compute_rates(
         node_tasks_[static_cast<std::size_t>(id)]);
     node_dirty_[static_cast<std::size_t>(id)] = 0;
@@ -418,7 +292,6 @@ void World::recompute_rates() {
   dirty_nodes_.clear();
 
   if (net_dirty_) {
-    sync_network_domain();
     flow_scratch_.clear();
     for (Task* task : task_ptrs_) {
       if (task->phase().kind == PhaseKind::kMessage) {
@@ -431,7 +304,6 @@ void World::recompute_rates() {
   }
 
   if (fs_dirty_) {
-    sync_fs_domain();
     fs_.compute_rates(task_ptrs_);
     fs_dirty_ = false;
   }
@@ -477,7 +349,7 @@ void World::schedule_next_completion() {
   // Event times quantize to the double grid at `now`; a very fast task
   // (e.g. a loopback message at ~1e12 B/s) can have an eta below one ulp,
   // which would schedule an event at exactly `now` and spin forever.
-  // Land at least a few ulps in the future so advance() always makes
+  // Land at least a few ulps in the future so advance_task always makes
   // progress through the residue.
   const double now = sim_.now();
   const double ulp =
@@ -502,12 +374,9 @@ void World::update_event() {
 
 void World::update() {
   // Public entry point: external callers may have mutated state the
-  // hooks cannot see, so behave exactly like the original full loop --
-  // re-solve every domain and settle every counter.
+  // hooks cannot see, so re-solve every domain like the original loop.
   mark_all_dirty();
-  if (in_update_) return;  // the enclosing update's recompute covers it
   update_event();
-  sync_all_domains();
 }
 
 void World::enable_monitoring(double period_s, metrics::SampleSink* sink,
@@ -538,7 +407,6 @@ void World::set_store_node(int node) {
 void World::sample_all(double period_s) {
   // Bring rates and counters up to date, then poll every node's samplers.
   update_event();
-  sync_all_domains();
   for (const auto& collector : collectors_) collector->collect(sim_.now());
   if (tracer_) {
     tracer_->emit(trace::RecordKind::kSample, 0, 0, collectors_.size(),
@@ -564,11 +432,6 @@ metrics::MetricStore& World::node_store(int id) {
   return *stores_[static_cast<std::size_t>(id)];
 }
 
-void World::run_until(double t) {
-  sim_.run_until(t);
-  // Callers read counters after run_until; settle the deferred ranges so
-  // they observe exactly what the eager loop would have produced.
-  sync_all_domains();
-}
+void World::run_until(double t) { sim_.run_until(t); }
 
 }  // namespace hpas::sim

@@ -32,18 +32,13 @@
 //     unchanged inputs;
 //   * completions are settled in one pass unless that pass installed a
 //     phase that is already complete;
-//   * counter integration is lazy -- advance_tasks still moves every
-//     active task's remaining-work eagerly (completion times feed event
-//     scheduling), but the node/network/filesystem counter accumulation
-//     is deferred: each update logs its dt chunk, and a per-domain cursor
-//     replays pending chunks through the exact same arithmetic when the
-//     domain is next observed (rate change, phase change, sampling, or
-//     run_until returning). Replay preserves the per-chunk fold order of
-//     every shared accumulator, so all observables are bit-identical to
-//     eager integration.
+//   * counters are folded in as tasks advance -- step 1 steps each
+//     active task once and adds that step to its node, network and
+//     filesystem counters on the spot, so a controller in step 2 or a
+//     sampler reads every counter up to date as of now.
 // Setting HPAS_FULL_RECOMPUTE=1 (or set_full_recompute(true)) restores
-// the original recompute-everything-per-event behaviour; the equivalence
-// tests byte-compare traces across both modes.
+// the original re-solve-every-domain-per-event behaviour; the
+// equivalence tests byte-compare traces across both modes.
 //
 // The loop runs on one thread (see DESIGN.md, "Why the engine is
 // serial"): a World is owned by the scenario that built it, and callers
@@ -135,53 +130,47 @@ class World {
     sim_.set_cancel_token(token);
   }
 
-  /// Re-derives all rates and reschedules the next completion. Called
-  /// automatically by spawn/kill/allocate and by phase completions; an
-  /// observer calls it to bring rates up to date before reading them
-  /// (sched::NodeMonitor does). Conservatively marks every domain dirty
-  /// and settles all deferred counter integration, exactly like the
-  /// original full-recompute loop.
+  /// Advances every task to now, re-derives all rates and reschedules the
+  /// next completion. Called automatically by spawn/kill/allocate and by
+  /// phase completions; an observer calls it to bring rates up to date
+  /// before reading them (sched::NodeMonitor does), and after an external
+  /// phase change. Conservatively marks every domain dirty, exactly like
+  /// the original full-recompute loop.
   void update();
 
   void run_until(double t);
   void run_for(double dt) { run_until(now() + dt); }
 
-  /// Forces the original recompute-every-domain, integrate-every-counter
-  /// behaviour on each update. The observable outputs are bit-identical
-  /// either way (that is tested); this exists as the reference mode for
-  /// equivalence tests and the engine microbenchmark. Also enabled by the
-  /// environment variable HPAS_FULL_RECOMPUTE=1 at construction.
-  void set_full_recompute(bool on);
+  /// Forces the original re-solve-every-domain behaviour on each update.
+  /// The observable outputs are bit-identical either way (that is
+  /// tested); this exists as the reference mode for the dirty-set rules,
+  /// for equivalence tests and the engine microbenchmark. Also enabled by
+  /// the environment variable HPAS_FULL_RECOMPUTE=1 at construction.
+  void set_full_recompute(bool on) { full_recompute_ = on; }
   bool full_recompute() const { return full_recompute_; }
 
   /// Incremental-engine hooks, invoked by Task::set_phase (and kept
-  /// public for it; not useful to call directly). They settle deferred
-  /// counter integration for the domains a phase change touches and mark
-  /// dirty those whose solver inputs change. on_task_phase_change returns
-  /// true when none change, and the task then keeps its installed rates
-  /// (never in full-recompute mode).
+  /// public for it; not useful to call directly). on_task_phase_change
+  /// marks dirty the domains whose solver inputs the change alters and
+  /// returns true when none change, and the task then keeps its installed
+  /// rates (never in full-recompute mode). on_task_phase_installed flags
+  /// a phase that is complete on arrival for another completion pass.
   bool on_task_phase_change(Task& task, const Phase& next);
   void on_task_phase_installed(Task& task);
 
  private:
   void update_event();  ///< incremental update (internal event path)
   void advance_tasks(double dt);
+  /// Steps one active task by dt and folds the step into its counters.
+  void advance_task(Task& task, double dt);
   void handle_completions();
   void recompute_rates();
   void trace_rates();
   void schedule_next_completion();
   void sample_all(double period_s);
 
-  // --- deferred counter integration -----------------------------------
-  void apply_counter_chunk(Task& task, double dt);
-  void sync_network_domain();
-  void sync_node_domain(int id);
-  void sync_fs_domain();
-  void sync_all_domains();  ///< settles every cursor, truncates the log
-  void sync_domain_of(PhaseKind kind, int node_id);
   void mark_node_dirty(int id);
   void mark_all_dirty();
-  void note_domain_entry(PhaseKind kind, int node_id, int delta);
 
   Simulator sim_;
   std::vector<std::unique_ptr<Node>> nodes_;
@@ -203,16 +192,6 @@ class World {
   std::vector<int> dirty_nodes_;
   bool net_dirty_ = false;
   bool fs_dirty_ = false;
-  /// dt of every advance_tasks call not yet folded into all counters.
-  std::vector<double> chunk_dt_;
-  std::vector<std::uint32_t> node_cursor_;  ///< per-node replay cursor
-  std::uint32_t net_cursor_ = 0;
-  std::uint32_t fs_cursor_ = 0;
-  /// Active members per counter domain; a domain with no members can
-  /// skip its replay range outright.
-  std::vector<int> node_active_;
-  int message_tasks_ = 0;
-  int io_tasks_ = 0;
   /// Set when a phase is installed that is already complete; tells
   /// handle_completions that another pass has work.
   bool completion_pending_ = false;

@@ -11,7 +11,9 @@
 // journal carries wall times and is excluded). So is a sweep stopped by
 // one SIGINT: it drains, exits 0 and leaves a journal that --resume
 // completes. Readiness is observed through inotify on the output
-// directory, so the signal lands mid-sweep without any fixed delay.
+// directory, so the signal lands mid-sweep without any fixed delay. A
+// grid whose scenarios never finish is cut by --scenario-timeout, each
+// scenario journaled as a timeout, and the sweep exits 5.
 #include <gtest/gtest.h>
 
 #include <poll.h>
@@ -266,6 +268,24 @@ TEST_F(HpasCliSweep, SigintDrainLeavesResumableJournal) {
       << "the signal came after the sweep";
 
   expect_resume_matches(drain, golden, done_at_drain);
+}
+
+TEST_F(HpasCliSweep, ScenarioTimeoutCutsAHungGrid) {
+  // hung_sweep.json asks for a 1e9 s window of CoMD under netoccupy,
+  // sampled every 1e6 s: no run ends within the timeout, and the few
+  // samples keep a hung scenario's memory flat.
+  const fs::path out = base_ / "hung";
+  const Outcome run = run_hpas(std::string("sweep '") + HPAS_HUNG_GRID +
+                               "' -j 2 -o '" + out.string() +
+                               "' --scenario-timeout 2s");
+  // Exit 5: the sweep completed, but not every scenario did.
+  EXPECT_EQ(run.status, 5) << run.output;
+  std::ifstream in(out / "summary.json");
+  const std::string summary{std::istreambuf_iterator<char>(in),
+                            std::istreambuf_iterator<char>()};
+  EXPECT_NE(summary.find("\"status\": \"timeout\""), std::string::npos)
+      << summary;
+  EXPECT_TRUE(fs::is_regular_file(out / "sweep.journal"));
 }
 
 }  // namespace

@@ -3,19 +3,24 @@
 // single-scenario CLI's output contract -- flags, placement, injector
 // failure, trace bytes and the replay check -- so any change to how the
 // binary builds, runs or writes a scenario shows up here as a digest
-// mismatch.
+// mismatch. One SIGINT mid-run must stop the binary with exit 0 and
+// every node's CSV; the signal is sent once the child catches SIGINT, as
+// /proc/<pid>/status shows, never after a fixed delay.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/crc32.hpp"
@@ -41,6 +46,15 @@ class HpasSimCliTest : public ::testing::Test {
   /// Runs hpas-sim with `args` inside the test directory; returns its exit
   /// status (-1 when it died by a signal).
   int run(const std::vector<std::string>& args) {
+    const pid_t pid = start(args);
+    int status = 0;
+    ::waitpid(pid, &status, 0);
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  }
+
+  /// Starts hpas-sim with `args` inside the test directory, its stdout
+  /// and stderr appended to the log; returns the child's pid.
+  pid_t start(const std::vector<std::string>& args) {
     const pid_t pid = ::fork();
     if (pid == 0) {
       if (::chdir(dir_.c_str()) != 0) ::_exit(126);
@@ -56,9 +70,7 @@ class HpasSimCliTest : public ::testing::Test {
       ::execv(HPAS_SIM_BIN, argv.data());
       ::_exit(127);
     }
-    int status = 0;
-    ::waitpid(pid, &status, 0);
-    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+    return pid;
   }
 
   std::string log() const { return read(dir_ / kLog); }
@@ -232,6 +244,69 @@ TEST_F(HpasSimCliTest, CheckTraceMismatchExitsThreeAndWritesNoCsv) {
       << log();
   EXPECT_NE(log().find("replay check FAILED"), std::string::npos) << log();
   EXPECT_EQ(digests(), recorded) << table(digests());
+}
+
+/// True once `pid` has a handler for SIGINT: bit SIGINT-1 of the SigCgt
+/// mask in /proc/<pid>/status.
+bool catches_sigint(pid_t pid) {
+  std::ifstream in("/proc/" + std::to_string(pid) + "/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("SigCgt:", 0) != 0) continue;
+    const unsigned long long mask = std::stoull(line.substr(7), nullptr, 16);
+    return ((mask >> (SIGINT - 1)) & 1u) != 0;
+  }
+  return false;
+}
+
+TEST_F(HpasSimCliTest, SigintExportsTheSimulatedPrefix) {
+  // A 1e6 s window takes seconds to simulate, and the signal follows the
+  // handler's installation by about a millisecond, so it lands mid-run.
+  const pid_t pid = start({"--app", "CoMD", "--anomaly", "membw",
+                           "--duration", "1000000s", "-o", "run"});
+  ASSERT_GT(pid, 0);
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  int status = 0;
+  bool exited = false;
+  bool ready = false;
+  while (!exited && std::chrono::steady_clock::now() < give_up) {
+    ready = catches_sigint(pid);
+    if (ready) break;
+    exited = ::waitpid(pid, &status, WNOHANG) == pid;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  if (!ready && !exited) {
+    ::kill(pid, SIGKILL);
+    ::waitpid(pid, &status, 0);
+  }
+  ASSERT_TRUE(ready) << "hpas-sim never installed its SIGINT handler\n"
+                     << log();
+
+  // One signal: cooperative stop, every node's CSV, exit 0.
+  ::kill(pid, SIGINT);
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << "hpas-sim died by a signal\n" << log();
+  EXPECT_EQ(WEXITSTATUS(status), 0) << log();
+  const std::string out = log();
+  EXPECT_NE(out.find("interrupted at t="), std::string::npos) << out;
+
+  // "..., N nodes -> run.node*.csv": one non-empty CSV per node.
+  const std::size_t at = out.find(" nodes -> ");
+  ASSERT_NE(at, std::string::npos) << out;
+  const std::size_t comma = out.rfind(", ", at);
+  ASSERT_NE(comma, std::string::npos) << out;
+  const std::size_t nodes = std::stoul(out.substr(comma + 2, at - comma - 2));
+  EXPECT_GT(nodes, 0u) << out;
+  std::size_t csvs = 0;
+  for (const auto& entry : fs::directory_iterator(dir_)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("run.node", 0) != 0 || entry.path().extension() != ".csv")
+      continue;
+    ++csvs;
+    EXPECT_GT(fs::file_size(entry.path()), 0u) << name;
+  }
+  EXPECT_EQ(csvs, nodes) << out;
 }
 
 TEST_F(HpasSimCliTest, UnknownPresetExitsTwoAndWritesNothing) {

@@ -1,10 +1,10 @@
-// Incremental-engine equivalence: the dirty-set rate recomputation and
-// lazy counter integration (World's default) must be *byte-identical* to
-// the reference full-recompute mode (set_full_recompute(true) /
-// HPAS_FULL_RECOMPUTE=1), which re-solves every domain and integrates
-// every counter on every event exactly like the original eager loop.
+// Incremental-engine equivalence: the dirty-set rate recomputation
+// (World's default) must be *byte-identical* to the reference
+// full-recompute mode (set_full_recompute(true) / HPAS_FULL_RECOMPUTE=1),
+// which re-solves every domain on every event exactly like the original
+// eager loop. Both modes fold counters in as tasks advance.
 //
-// Five layers of evidence, strongest first: the fig05 memleak trace
+// Six layers of evidence, strongest first: the fig05 memleak trace
 // (every event, rate, memory and sample record), a mixed scenario that
 // keeps all three counter domains (node, network, filesystem) busy at
 // once, a "storm" world that contests every event boundary (kill, spawn
@@ -12,8 +12,9 @@
 // writes, cancellation tombstones) compared down to
 // every counter's bits, a task whose phases keep their kind but change
 // a solver input (message peer, I/O operation) on shared links and disk,
-// and a whole sweep output directory (CSVs + traces + summary) for no
-// anomaly and every anomaly kind, compared file-by-file.
+// controllers that read counters mid-completion-pass, and a whole sweep
+// output directory (CSVs + traces + summary) for no anomaly and every
+// anomaly kind, compared file-by-file.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -113,8 +114,8 @@ void append_bits(std::string& out, double value) {
 }
 
 std::string counter_digest(sim::World& world) {
-  // Settle every deferred-integration cursor first so the digest reads
-  // final values, then freeze the bits.
+  // Advance every task to now first so the digest reads final values,
+  // then freeze the bits.
   world.update();
   std::string digest;
   for (int id = 0; id < world.num_nodes(); ++id) {
@@ -278,8 +279,8 @@ TEST(IncrementalEquivalence, StormTraceAndCounterBitsMatchFullRecompute) {
 }
 
 TEST(IncrementalEquivalence, RunUntilSplitsNeverChangeBytes) {
-  // run_until boundaries force a full settle (sync_all_domains); cutting
-  // the same simulation at arbitrary points must not move a single bit.
+  // Cutting the same simulation at arbitrary run_until boundaries must
+  // not move a single bit.
   const StormRun whole = run_storm(false);
   const std::vector<std::vector<double>> split_sets = {
       {2.0, 3.0, 4.0, 5.0},         // exactly on the storm timestamps
@@ -295,8 +296,8 @@ TEST(IncrementalEquivalence, RunUntilSplitsNeverChangeBytes) {
 }
 
 TEST(IncrementalEquivalence, ModeSwitchMidRunIsInvisible) {
-  // set_full_recompute settles every domain before switching, so the
-  // switch lands between events and cannot be observed in the output.
+  // The switch lands between events, and the next event re-solves every
+  // domain, so it cannot be observed in the output.
   const StormRun whole = run_storm(false);
   for (const bool start_full : {false, true}) {
     const StormRun switched = run_storm(start_full, {}, 3.5);
@@ -373,6 +374,67 @@ TEST(IncrementalEquivalence, SameKindInputChangesStillReSolve) {
   EXPECT_TRUE(incremental == full)
       << "a same-kind phase change with a new peer or I/O kind kept stale "
          "rates";
+}
+
+// --- counters read by controllers --------------------------------------
+
+void append_counters(std::string& log, const sim::NodeCounters& c) {
+  for (const double v : {c.cpu_user_seconds, c.cpu_sys_seconds,
+                         c.instructions, c.l1_misses, c.l2_misses,
+                         c.l3_misses, c.dram_bytes, c.nic_tx_bytes,
+                         c.nic_rx_bytes, c.pages_faulted})
+    append_bits(log, v);
+}
+
+/// Three compute tasks on node 0 of voltrino alternate compute with a
+/// message to node 1 while a writer keeps the filesystem busy. At every
+/// completion each controller logs the bits of node 0's, node 1's and the
+/// filesystem's counters as it sees them, inside the completion pass and
+/// with no update() call, so whatever the engine has not folded in yet
+/// shows up as a difference from full-recompute mode.
+std::string controller_counter_log(bool full_recompute) {
+  auto world = hpas::sim::make_voltrino_world();
+  world->set_full_recompute(full_recompute);
+  sim::World* w = world.get();
+  std::string log;
+  const auto snapshot = [w, &log] {
+    append_counters(log, w->node(0).counters());
+    append_counters(log, w->node(1).counters());
+    const sim::FsCounters& f = w->filesystem().counters();
+    for (const double v : {f.metadata_ops, f.bytes_read, f.bytes_written})
+      append_bits(log, v);
+  };
+  world->spawn_task("writer", 2, 0, sim::TaskProfile{},
+                    sim::Phase::io(sim::IoKind::kWrite, 256.0e6),
+                    [snapshot](sim::Task& t) {
+                      snapshot();
+                      return t.phase();
+                    });
+  for (int i = 0; i < 3; ++i) {
+    const double work = (1.0 + 0.3 * i) * 0.5e9;
+    world->spawn_task(
+        "ranker" + std::to_string(i), 0, i, sim::TaskProfile{},
+        sim::Phase::compute(work), [snapshot, work, i](sim::Task& t) {
+          snapshot();
+          return t.phase().kind == sim::PhaseKind::kCompute
+                     ? sim::Phase::message(1, (1.0 + i) * 64.0e6)
+                     : sim::Phase::compute(work);
+        });
+  }
+  world->run_until(3.0);
+  EXPECT_GT(w->filesystem().counters().bytes_written, 0.0);
+  EXPECT_GT(w->node(1).counters().nic_rx_bytes, 0.0);
+  return log;
+}
+
+TEST(IncrementalEquivalence, ControllerReadsSeeExactCounters) {
+  const std::string incremental = controller_counter_log(false);
+  const std::string full = controller_counter_log(true);
+  // Every snapshot is 23 doubles; a handful of completions is not enough
+  // to exercise the alternation.
+  ASSERT_GT(incremental.size(), 20u * 23u * sizeof(double));
+  EXPECT_TRUE(incremental == full)
+      << "a controller read counters that had not been folded in";
 }
 
 // --- whole-sweep directory comparison ---------------------------------
