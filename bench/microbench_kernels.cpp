@@ -11,6 +11,7 @@
 #include <memory>
 
 #include "anomalies/cache_topology.hpp"
+#include "common/crc32.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "lb/balancers.hpp"
@@ -32,6 +33,18 @@ void BM_RngFillBytes(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_RngFillBytes)->Arg(4096)->Arg(1 << 20);
+
+/// CRC-32 of one dataset row frame (884 B) and of a large buffer (80 KiB).
+void BM_Crc32(benchmark::State& state) {
+  hpas::Rng rng(7);
+  std::vector<unsigned char> buf(static_cast<std::size_t>(state.range(0)));
+  rng.fill_bytes(buf.data(), buf.size());
+  for (auto _ : state)
+    benchmark::DoNotOptimize(hpas::crc32(buf.data(), buf.size()));
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(884)->Arg(80 << 10);
 
 /// The cachecopy inner loop at each cache level's working set.
 void BM_CacheCopyKernel(benchmark::State& state) {

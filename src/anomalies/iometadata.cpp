@@ -65,7 +65,10 @@ void IoMetadata::setup() {
         // Create/open a batch, write one character to each, close.
         for (unsigned i = 0; i < opts_.files_per_iteration; ++i) {
           const fs::path file =
-              dir / ("f" + std::to_string(iteration) + "_" + std::to_string(i));
+              dir / std::string("f")
+                        .append(std::to_string(iteration))
+                        .append(1, '_')
+                        .append(std::to_string(i));
           std::FILE* fp = nullptr;
           const IoResult opened = supervised_io(
               sup, task, FailureOp::kOpen,

@@ -16,6 +16,14 @@ inline void put_le(std::string& out, T v) {
     out.push_back(static_cast<char>(static_cast<unsigned char>(v >> (8 * i))));
 }
 
+/// put_le into bytes the caller has already sized: one pass, no growth
+/// checks, for encoding a whole record at once.
+template <typename T>
+inline void store_le(unsigned char* p, T v) {
+  for (std::size_t i = 0; i < sizeof(T); ++i)
+    p[i] = static_cast<unsigned char>(v >> (8 * i));
+}
+
 template <typename T>
 inline T get_le(const unsigned char* p) {
   T v = 0;

@@ -127,7 +127,7 @@ void DatasetPlan::add_scenario_row(const runner::ScenarioSpec& spec) {
   DatasetRowSpec& row = rows.emplace_back();
   row.kind = DatasetRowSpec::Kind::kGrid;
   row.spec = spec;
-  row.spec.name += "#" + std::to_string(r);
+  row.spec.name.append(1, '#').append(std::to_string(r));
   row.label = label_of(row.spec.anomaly);
   std::uint64_t h = kRowSeed;
   mix(h, r);
@@ -240,15 +240,14 @@ DatasetFactoryResult run_dataset_factory(const DatasetPlan& plan,
     writer.append(i, plan.rows[i].label, row->features);
   };
 
-  // The pool pops its own deque LIFO, so inside one parallel_for the
-  // OLDEST submitted index can starve until the queue drains -- an
-  // unbounded plan-order reorder that would park (and buffer) nearly the
-  // whole run in the writer's sequencer. Dispatching in fixed-size blocks
-  // restores a hard bound: a row can only complete out of order within
-  // its block, so pending rows per shard never exceed the block size, and
-  // shard bytes become durable incrementally as blocks retire. Blocks are
-  // far wider than the worker count, so the barrier between them costs
-  // nothing measurable.
+  // parallel_for claims rows in plan order, so rows finish roughly in
+  // order and only a few frames per worker park in the writer's
+  // sequencer. The claim order alone does not bound parking: a row that
+  // stalls (a long scenario) lets the rows after it finish, and they park
+  // until it lands. Dispatching in fixed-size blocks caps that: a row can
+  // only complete out of order within its block, so parked rows per shard
+  // never exceed the block size. Blocks are far wider than the worker
+  // count, so the barrier between them costs nothing measurable.
   constexpr std::size_t kRowBlock = 2048;
   try {
     for (std::size_t base = 0; base < plan.rows.size(); base += kRowBlock) {

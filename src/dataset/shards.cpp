@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -29,10 +30,28 @@ constexpr std::size_t kShardHeaderSize = 24;  // magic + 4 x u32
 constexpr char kJournalName[] = "dataset.journal";
 constexpr char kManifestName[] = "manifest.json";
 constexpr char kCsvName[] = "dataset.csv";
-/// Parked out-of-order rows are structurally bounded by the pool's
-/// submission backpressure (queue capacity 256 + workers); anything near
-/// this cap means the sequencer invariant broke, not a big machine.
+/// Parked out-of-order rows are bounded by the factory's row block (2048
+/// rows); anything near this cap means the sequencer invariant broke, not
+/// a big machine.
 constexpr std::size_t kMaxPendingRows = 8192;
+/// A shard's buffered frames are written with one write() once they pass
+/// this size, and at every checkpoint.
+constexpr std::size_t kFlushBytes = std::size_t{64} << 10;
+
+/// One row's frame: len | row_index:u64 label:u32 feature:f64[] | crc.
+std::string encode_row_frame(std::uint64_t row, int label,
+                             std::span<const double> features) {
+  std::string payload(12 + 8 * features.size(), '\0');
+  auto* p = reinterpret_cast<unsigned char*>(payload.data());
+  store_le(p, row);
+  store_le(p + 8, static_cast<std::uint32_t>(label));
+  for (std::size_t f = 0; f < features.size(); ++f)
+    store_le(p + 12 + 8 * f, std::bit_cast<std::uint64_t>(features[f]));
+  std::string frame;
+  frame.reserve(8 + payload.size());
+  faultline::append_frame(frame, payload);
+  return frame;
+}
 
 std::string shard_header_bytes(std::uint32_t index, std::uint32_t shard_count,
                                std::uint32_t num_features) {
@@ -230,7 +249,8 @@ std::uint64_t DatasetWriter::checkpoint_key(std::uint32_t index) const {
 }
 
 DatasetWriter::DatasetWriter(DatasetMeta meta, DatasetWriterOptions options)
-    : meta_(std::move(meta)), options_(std::move(options)) {
+    : meta_(std::move(meta)), options_(std::move(options)),
+      shards_(meta_.shards) {
   require(meta_.shards >= 1, "DatasetWriter: need at least one shard");
   require(meta_.num_features > 0, "DatasetWriter: zero-width rows");
   require(meta_.num_features == meta_.feature_names.size(),
@@ -239,7 +259,6 @@ DatasetWriter::DatasetWriter(DatasetMeta meta, DatasetWriterOptions options)
           "DatasetWriter: checkpoint interval must be positive");
   std::filesystem::create_directories(options_.out_dir);
   const std::string journal_path = options_.out_dir + "/" + kJournalName;
-  shards_.resize(meta_.shards);
 
   runner::JournalRecord header;
   header.key_hash = meta_.plan_digest;
@@ -387,29 +406,26 @@ std::uint64_t DatasetWriter::rows_durable() const {
   return total;
 }
 
-void DatasetWriter::write_row(Shard& shard, std::uint32_t index,
-                              std::uint64_t row, int label,
-                              std::span<const double> features) {
-  std::string payload;
-  payload.reserve(12 + 8 * features.size());
-  put_u64(payload, row);
-  put_u32(payload, static_cast<std::uint32_t>(label));
-  for (const double v : features) put_f64(payload, v);
-  std::string frame;
-  frame.reserve(8 + payload.size());
-  faultline::append_frame(frame, payload);
-  faultline::write_all(faultline::Domain::kJournal, shard.fd, shard.path,
-                       frame);
+void DatasetWriter::add_frame(Shard& shard, std::string_view frame) {
+  shard.buffer.append(frame);
   shard.crc_state = crc32_update(shard.crc_state, frame.data(), frame.size());
   shard.bytes += frame.size();
   ++shard.rows;
-  (void)index;
+  if (shard.buffer.size() >= kFlushBytes) flush(shard);
+}
+
+void DatasetWriter::flush(Shard& shard) {
+  if (shard.buffer.empty()) return;
+  faultline::write_all(faultline::Domain::kJournal, shard.fd, shard.path,
+                       shard.buffer);
+  shard.buffer.clear();
 }
 
 void DatasetWriter::checkpoint(Shard& shard, std::uint32_t index) {
   // Durability order is the resume contract: shard bytes reach disk
   // BEFORE the journal record that describes them, so a validated
   // checkpoint always names an intact prefix.
+  flush(shard);
   faultline::sync_file(faultline::Domain::kJournal, shard.fd, shard.path);
   runner::JournalRecord rec;
   rec.key_hash = checkpoint_key(index);
@@ -419,7 +435,10 @@ void DatasetWriter::checkpoint(Shard& shard, std::uint32_t index) {
   rec.csv_crc = crc32_final(shard.crc_state);
   rec.trace_records = shard.bytes;
   rec.app_iterations = shard.rows;
-  journal_->append(rec);
+  {
+    std::lock_guard<std::mutex> journal_lock(journal_mutex_);
+    journal_->append(rec);
+  }
   shard.checkpoint_rows = shard.rows;
 }
 
@@ -433,28 +452,27 @@ void DatasetWriter::append(std::uint64_t row, int label,
           "DatasetWriter: label out of range");
   const std::uint32_t s = shard_of_row(row, meta_.shards);
   const std::uint64_t ordinal = row / meta_.shards;
+  // Encoded before the lock: the critical section only moves bytes.
+  std::string frame = encode_row_frame(row, label, features);
 
-  std::lock_guard<std::mutex> lock(mutex_);
+  Shard& shard = shards_[s];
+  std::lock_guard<std::mutex> lock(shard.mutex);
   if (abandoned_) return;  // cancellation already sealed the prefix
   require(!finished_, "DatasetWriter: append after finish");
-  Shard& shard = shards_[s];
   require(ordinal >= shard.rows, "DatasetWriter: duplicate row append");
   if (ordinal != shard.rows) {
-    // Out-of-order completion: park until the plan-order predecessor
-    // lands. Bounded by pool backpressure; the cap catches logic bugs.
+    // Out-of-order completion: park the frame until its plan-order
+    // predecessor lands. Bounded by the factory's row block; the cap
+    // catches logic bugs.
     require(shard.pending.size() < kMaxPendingRows,
             "DatasetWriter: sequencer reorder bound exceeded");
-    shard.pending.emplace(
-        ordinal,
-        PendingRow{label, std::vector<double>(features.begin(),
-                                              features.end())});
+    shard.pending.emplace(ordinal, std::move(frame));
     return;
   }
-  write_row(shard, s, row, label, features);
+  add_frame(shard, frame);
   auto next = shard.pending.begin();
   while (next != shard.pending.end() && next->first == shard.rows) {
-    write_row(shard, s, next->first * meta_.shards + s, next->second.label,
-              next->second.features);
+    add_frame(shard, next->second);
     next = shard.pending.erase(next);
   }
   if (shard.rows - shard.checkpoint_rows >= options_.checkpoint_rows)
@@ -462,21 +480,22 @@ void DatasetWriter::append(std::uint64_t row, int label,
 }
 
 void DatasetWriter::abandon() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (abandoned_ || finished_) return;
-  abandoned_ = true;
+  if (finished_ || abandoned_.exchange(true)) return;
+  // An append that takes a shard's lock after this loop did sees
+  // abandoned_ and drops its row; one that took it first is checkpointed.
   for (std::uint32_t s = 0; s < meta_.shards; ++s) {
     Shard& shard = shards_[s];
+    std::lock_guard<std::mutex> lock(shard.mutex);
     shard.pending.clear();  // non-contiguous rows are re-run on resume
     if (shard.rows > shard.checkpoint_rows) checkpoint(shard, s);
   }
 }
 
 std::string DatasetWriter::finish(bool write_csv) {
-  std::lock_guard<std::mutex> lock(mutex_);
   require(!abandoned_ && !finished_, "DatasetWriter: finish after stop");
   for (std::uint32_t s = 0; s < meta_.shards; ++s) {
     Shard& shard = shards_[s];
+    std::lock_guard<std::mutex> lock(shard.mutex);
     require(shard.pending.empty(),
             "DatasetWriter: finish with parked rows (missing predecessors)");
     require(shard.rows == shard_row_count(meta_.rows, meta_.shards, s),

@@ -31,18 +31,27 @@
 //   frame  := len:u32 payload[len] crc:u32        crc = CRC32(payload)
 //   payload:= row_index:u64 label:u32 feature:f64[num_features]
 //
-// Writers append through a per-shard plan-order sequencer: out-of-order
-// completions park in a pending map whose size is structurally bounded
-// by the work-stealing pool's submission backpressure (queue capacity +
-// worker count), so reordering memory is O(threads), not O(rows).
+// append() encodes a row's frame before it takes its shard's lock. Under
+// that lock the shard's plan-order sequencer either parks the frame (an
+// out-of-order completion) or adds it, and every parked successor it
+// unblocks, to the shard's write buffer and running CRC. The buffer is
+// written with one write() once it passes 64 KiB, and at every
+// checkpoint (before the fsync): one write per 75 rows of 108 features
+// instead of one per row. Shards lock separately because consecutive
+// rows go to different shards: one shard's 64 KiB write does not stall
+// the others. The factory claims rows in plan order
+// (runner::parallel_for) in blocks of 2048, so parked frames stay near
+// the worker count and never exceed one block.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace hpas::runner {
@@ -98,7 +107,8 @@ class DatasetWriter {
   std::uint64_t rows_durable() const;
 
   /// Appends one completed row. Thread-safe; rows may arrive in any
-  /// order, bytes land in plan order.
+  /// order, bytes land in plan order. A row reaches the file at the
+  /// latest at its shard's next checkpoint.
   void append(std::uint64_t row, int label, std::span<const double> features);
 
   /// Stops early (cancellation): fsyncs and checkpoints every shard's
@@ -112,27 +122,25 @@ class DatasetWriter {
   std::string finish(bool write_csv);
 
  private:
-  struct PendingRow {
-    int label;
-    std::vector<double> features;
-  };
   struct Shard {
+    std::mutex mutex;  ///< guards every field below once rows arrive
     std::string path;
     int fd = -1;
-    std::uint64_t rows = 0;        ///< rows written (contiguous prefix)
-    std::uint64_t bytes = 0;       ///< file bytes (header + frames)
+    std::uint64_t rows = 0;        ///< rows added (contiguous prefix)
+    std::uint64_t bytes = 0;       ///< file bytes once the buffer is written
     std::uint32_t crc_state = 0;   ///< incremental CRC over all bytes
     std::uint64_t checkpoint_rows = 0;  ///< rows at last checkpoint
     std::uint64_t durable_rows = 0;     ///< adopted at resume
-    std::map<std::uint64_t, PendingRow> pending;  ///< ordinal -> row
+    std::string buffer;  ///< frames added since the last write()
+    std::map<std::uint64_t, std::string> pending;  ///< ordinal -> frame
   };
 
   void create_fresh(Shard& shard, std::uint32_t index);
   void adopt_or_reset(Shard& shard, std::uint32_t index,
                       std::uint64_t ckpt_bytes, std::uint64_t ckpt_rows,
                       std::uint32_t ckpt_crc);
-  void write_row(Shard& shard, std::uint32_t index, std::uint64_t row,
-                 int label, std::span<const double> features);
+  void add_frame(Shard& shard, std::string_view frame);
+  void flush(Shard& shard);
   void checkpoint(Shard& shard, std::uint32_t index);
   std::uint64_t checkpoint_key(std::uint32_t index) const;
 
@@ -140,9 +148,9 @@ class DatasetWriter {
   DatasetWriterOptions options_;
   std::vector<Shard> shards_;
   std::unique_ptr<runner::JournalWriter> journal_;
-  std::mutex mutex_;
-  bool abandoned_ = false;
-  bool finished_ = false;
+  std::mutex journal_mutex_;  ///< checkpoint records come from any shard
+  std::atomic<bool> abandoned_{false};
+  std::atomic<bool> finished_{false};
 };
 
 /// Re-verifies a dataset directory from disk alone: frame CRCs, shard

@@ -1,5 +1,7 @@
 #include "runner/thread_pool.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <exception>
 #include <limits>
 #include <utility>
@@ -116,12 +118,20 @@ bool WorkStealingPool::cancelled() const {
 
 void parallel_for(WorkStealingPool& pool, std::size_t n,
                   const std::function<void(std::size_t)>& fn) {
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
   std::mutex err_mu;
   std::exception_ptr first_error;
   std::size_t first_error_index = std::numeric_limits<std::size_t>::max();
 
-  for (std::size_t i = 0; i < n; ++i) {
-    pool.submit([&, i] {
+  // One looping task per worker, each claiming the next index: indices
+  // start in plan order and a claimed index is never queued behind newer
+  // ones. Every index below a failure was claimed before it, so the
+  // lowest failing index is always among the ones that ran.
+  const auto claim_loop = [&] {
+    while (!failed.load(std::memory_order_acquire)) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) return;
       try {
         fn(i);
       } catch (...) {
@@ -132,9 +142,15 @@ void parallel_for(WorkStealingPool& pool, std::size_t n,
             first_error = std::current_exception();
           }
         }
+        failed.store(true, std::memory_order_release);
         pool.request_cancel();
       }
-    });
+    }
+  };
+  const std::size_t tasks =
+      std::min(n, static_cast<std::size_t>(pool.thread_count()));
+  for (std::size_t t = 0; t < tasks; ++t) {
+    pool.submit(claim_loop);
     // Submitting after a cancellation is a no-op; stop generating work.
     if (pool.cancelled()) break;
   }

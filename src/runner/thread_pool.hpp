@@ -8,7 +8,8 @@
 // contention on the lock is unmeasurable at this granularity and the
 // simple design is easy to prove correct under TSan.
 //
-// Determinism contract: the pool makes NO ordering guarantees. Callers
+// Determinism contract: the pool makes NO ordering guarantees for
+// submit() (parallel_for adds one: indices start in plan order). Callers
 // (see runner.cpp) must make each task a pure function of its inputs and
 // write results into a pre-assigned slot, so the observable output is
 // independent of interleaving and thread count.
@@ -77,10 +78,13 @@ class WorkStealingPool {
   std::vector<std::thread> workers_;
 };
 
-/// Runs fn(0..n-1) across the pool and blocks until all complete. If any
-/// call throws, the pool is cancelled (queued iterations are dropped,
-/// running ones finish) and the exception of the *lowest-indexed* failure
-/// is rethrown -- deterministic error reporting at any thread count.
+/// Runs fn(0..n-1) across the pool and blocks until all complete. One
+/// looping task per worker claims indices from a shared counter, so
+/// indices START in order 0, 1, 2, ... (a 1-thread pool runs them in
+/// order; with more workers they may finish out of order). If any call
+/// throws, no further index is claimed, the pool is cancelled (running
+/// calls finish) and the exception of the *lowest-indexed* failure is
+/// rethrown -- deterministic error reporting at any thread count.
 void parallel_for(WorkStealingPool& pool, std::size_t n,
                   const std::function<void(std::size_t)>& fn);
 

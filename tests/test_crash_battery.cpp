@@ -174,10 +174,11 @@ TEST_F(CrashBatteryTest, DatasetResumesByteIdenticallyAtEveryCrashPoint) {
       [&](const std::string& dir) { build(dir, false); },
       [&](const std::string& dir) { build(dir, true); }, "");
   // Setup: two shard headers (write x2 each), the directory fsync, the
-  // journal header (4) and the plan record (3) = 12. Rows: eight frame
-  // writes (2 each) and four checkpoints (shard fsync + record = 4 each)
-  // = 32. finish(): dataset.csv and manifest.json, 5 each = 10.
-  EXPECT_EQ(points, 12u + 32 + 10);
+  // journal header (4) and the plan record (3) = 12. Rows: frames are
+  // buffered per shard, so each of the four checkpoints writes its two
+  // frames at once (2) before the shard fsync and the record (4) = 24.
+  // finish(): dataset.csv and manifest.json, 5 each = 10.
+  EXPECT_EQ(points, 12u + 24 + 10);
 }
 
 }  // namespace

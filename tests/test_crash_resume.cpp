@@ -56,7 +56,7 @@ SweepGrid quick_grid(std::size_t n) {
   grid.name = "crash-resume";
   for (std::size_t i = 0; i < n; ++i)
     grid.scenarios.push_back(
-        quick_scenario("s" + std::to_string(i), 1000 + i));
+        quick_scenario(std::string("s").append(std::to_string(i)), 1000 + i));
   return grid;
 }
 
@@ -333,8 +333,9 @@ TEST_F(CrashResumeTest, SweepDeadlineCutsTheGrid) {
   SweepGrid grid;
   grid.name = "deadline";
   for (int i = 0; i < 3; ++i)
-    grid.scenarios.push_back(hung_scenario("d" + std::to_string(i),
-                                           static_cast<std::uint64_t>(i)));
+    grid.scenarios.push_back(
+        hung_scenario(std::string("d").append(std::to_string(i)),
+                      static_cast<std::uint64_t>(i)));
   SweepOptions options;
   options.threads = 1;
   // The pool pops LIFO; one queue slot makes d0 start before d1 is queued.

@@ -3,6 +3,7 @@
 // in-memory output (build_dataset) against the oracle and the shards.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -10,6 +11,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <numeric>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -371,6 +374,98 @@ TEST(DatasetWriter, RejectsBadAppends) {
   EXPECT_THROW(writer.append(99, 0, good), hpas::InvariantError);
   EXPECT_THROW(writer.append(0, 7, good), hpas::InvariantError);
   writer.abandon();
+  fs::remove_all(dir);
+}
+
+/// Rows 0..rows-1 in a fixed pseudo-random order.
+std::vector<std::uint64_t> scrambled_rows(std::uint64_t rows) {
+  std::vector<std::uint64_t> order(rows);
+  std::iota(order.begin(), order.end(), std::uint64_t{0});
+  std::shuffle(order.begin(), order.end(), std::mt19937_64(7));
+  return order;
+}
+
+void append_rows(DatasetWriter& writer,
+                 const std::vector<std::uint64_t>& order) {
+  for (const std::uint64_t row : order) {
+    if (writer.row_durable(row)) continue;
+    const auto f = row_features(row);
+    writer.append(row, static_cast<int>(row % 2), f);
+  }
+}
+
+TEST(DatasetWriter, OutOfOrderAppendsAreByteIdenticalAtAnyCheckpointInterval) {
+  // 3000 rows over 2 shards: each shard's 1500 44-byte frames pass the
+  // 64 KiB write buffer once, so size-triggered writes are covered too.
+  constexpr std::uint64_t kRows = 3000;
+  std::vector<std::uint64_t> in_order(kRows);
+  std::iota(in_order.begin(), in_order.end(), std::uint64_t{0});
+  const std::vector<std::uint64_t> scrambled = scrambled_rows(kRows);
+  ASSERT_NE(scrambled, in_order);
+
+  const fs::path golden = fresh_dir("ooo_golden");
+  const fs::path every = fresh_dir("ooo_every_row");
+  const fs::path rare = fresh_dir("ooo_rare");
+  {
+    DatasetWriter writer(tiny_meta(kRows, 2), {golden.string(), 1024, false});
+    append_rows(writer, in_order);
+    writer.finish(/*write_csv=*/true);
+  }
+  {
+    DatasetWriter writer(tiny_meta(kRows, 2), {every.string(), 1, false});
+    append_rows(writer, scrambled);
+    writer.finish(/*write_csv=*/true);
+  }
+  {
+    DatasetWriter writer(tiny_meta(kRows, 2), {rare.string(), 1024, false});
+    append_rows(writer, scrambled);
+    writer.finish(/*write_csv=*/true);
+  }
+  expect_identical_datasets(golden, every);
+  expect_identical_datasets(golden, rare);
+  EXPECT_TRUE(hpas::dataset::verify_dataset(rare.string()).ok);
+  fs::remove_all(golden);
+  fs::remove_all(every);
+  fs::remove_all(rare);
+}
+
+TEST(DatasetWriter, AbandonWritesBufferedFramesAndResumeCompletes) {
+  constexpr std::uint64_t kRows = 600;
+  std::vector<std::uint64_t> in_order(kRows);
+  std::iota(in_order.begin(), in_order.end(), std::uint64_t{0});
+  const fs::path golden = fresh_dir("abandon_golden");
+  {
+    DatasetWriter writer(tiny_meta(kRows, 2), {golden.string(), 1024, false});
+    append_rows(writer, in_order);
+    writer.finish(/*write_csv=*/true);
+  }
+
+  // A checkpoint interval above the row count: nothing is written before
+  // abandon(). Rows 0..299 are contiguous, 310..319 park behind the gap.
+  const fs::path dir = fresh_dir("abandon_cut");
+  {
+    DatasetWriter writer(tiny_meta(kRows, 2), {dir.string(), 1024, false});
+    std::vector<std::uint64_t> first(in_order.begin(), in_order.begin() + 300);
+    append_rows(writer, first);
+    append_rows(writer, {310, 311, 312, 313, 314, 315, 316, 317, 318, 319});
+    const std::uintmax_t header_only =
+        fs::file_size(dir / hpas::dataset::shard_file_name(0));
+    writer.abandon();
+    EXPECT_GT(fs::file_size(dir / hpas::dataset::shard_file_name(0)),
+              header_only);
+  }
+  EXPECT_FALSE(fs::exists(dir / "manifest.json"));
+  {
+    DatasetWriter writer(tiny_meta(kRows, 2), {dir.string(), 1024, true});
+    EXPECT_EQ(writer.rows_durable(), 300u);
+    EXPECT_TRUE(writer.row_durable(299));
+    EXPECT_FALSE(writer.row_durable(310));
+    append_rows(writer, in_order);
+    writer.finish(/*write_csv=*/true);
+  }
+  expect_identical_datasets(golden, dir);
+  EXPECT_TRUE(hpas::dataset::verify_dataset(dir.string()).ok);
+  fs::remove_all(golden);
   fs::remove_all(dir);
 }
 

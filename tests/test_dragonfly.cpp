@@ -124,8 +124,8 @@ std::string dragonfly_trace(bool full_recompute, double duration) {
   const int n = world->num_nodes();
   for (int id = 0; id < n; id += 16) {
     const int peer = (id + n / 2) % n;
-    world->spawn_task("t" + std::to_string(id), id, 0, TaskProfile{},
-                      Phase::compute(0.5e9), [peer](Task& t) {
+    world->spawn_task(std::string("t").append(std::to_string(id)), id, 0,
+                      TaskProfile{}, Phase::compute(0.5e9), [peer](Task& t) {
                         return t.phase().kind == PhaseKind::kCompute
                                    ? Phase::message(peer, 0.1e9)
                                    : Phase::compute(0.5e9);

@@ -145,7 +145,8 @@ TEST(JsonDump, EscapingMatchesPerCharReference) {
     EXPECT_EQ(Json(s).dump(), reference_escape(s));
     Json object = Json::object();
     object.set(s, 1);  // keys take the same path
-    EXPECT_EQ(object.dump(), "{" + reference_escape(s) + ":1}");
+    EXPECT_EQ(object.dump(),
+              std::string("{").append(reference_escape(s)).append(":1}"));
   }
 }
 

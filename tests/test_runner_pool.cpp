@@ -118,18 +118,32 @@ TEST(ParallelFor, RethrowsLowestIndexedFailure) {
   EXPECT_TRUE(pool.cancelled());
 }
 
+TEST(ParallelFor, SingleWorkerRunsIndicesInOrder) {
+  WorkStealingPool pool({.threads = 1, .queue_capacity = 4});
+  std::vector<std::size_t> order;
+  parallel_for(pool, 64, [&](std::size_t i) { order.push_back(i); });
+  ASSERT_EQ(order.size(), 64u);
+  for (std::size_t i = 0; i < order.size(); ++i)
+    EXPECT_EQ(order[i], i) << "position " << i;
+}
+
 TEST(ParallelFor, FailureCancelsRemainingWork) {
-  WorkStealingPool pool({.threads = 2, .queue_capacity = 4});
+  constexpr int kThreads = 2;
+  WorkStealingPool pool({.threads = kThreads, .queue_capacity = 4});
   std::atomic<int> ran{0};
   EXPECT_THROW(parallel_for(pool, 1000,
                             [&](std::size_t i) {
                               ran.fetch_add(1);
                               if (i == 0) throw std::runtime_error("stop");
+                              // Hold every other index until index 0's
+                              // failure is recorded (it cancels the pool).
+                              while (!pool.cancelled())
+                                std::this_thread::yield();
                             }),
                std::runtime_error);
-  // Backpressure (capacity 4) bounds how far submission outran the
-  // failure; nothing close to the full 1000 iterations may run.
-  EXPECT_LT(ran.load(), 100);
+  // Each worker holds at most one index when the failure lands, and no
+  // index is claimed after it.
+  EXPECT_LE(ran.load(), kThreads);
 }
 
 TEST(ParallelFor, ZeroIterationsIsANoOp) {

@@ -134,9 +134,10 @@ TEST_F(SearchDriverTest, ThreadCountDoesNotChangeBytes) {
   for (const int threads : {1, 2, 5}) {
     SearchOptions options = quick_options();
     options.threads = threads;
-    options.journal_path =
-        out("t" + std::to_string(threads)) + "/search.journal";
-    std::filesystem::create_directories(out("t" + std::to_string(threads)));
+    const std::string dir =
+        out(std::string("t").append(std::to_string(threads)));
+    options.journal_path = dir + "/search.journal";
+    std::filesystem::create_directories(dir);
     const SearchResult result = run_search(space, options);
     EXPECT_GT(result.executed, 0u);
     const std::string frontier = frontier_text(result, space);

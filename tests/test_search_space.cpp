@@ -254,7 +254,8 @@ TEST(SearchSpace, DatasetPlanDigestPinnedAndThreadInvariant) {
   std::filesystem::remove_all(base);
   for (const int threads : {1, 4}) {
     hpas::dataset::DatasetFactoryOptions options;
-    options.out_dir = (base / ("j" + std::to_string(threads))).string();
+    options.out_dir =
+        (base / std::string("j").append(std::to_string(threads))).string();
     options.shards = 2;
     options.threads = threads;
     options.write_csv = true;
