@@ -16,6 +16,7 @@
 #include "common/stats.hpp"
 #include "lb/balancers.hpp"
 #include "ml/decision_tree.hpp"
+#include "runner/journal.hpp"
 #include "sim/engine/simulator.hpp"
 #include "sim/maxmin.hpp"
 #include "sim/network.hpp"
@@ -169,5 +170,20 @@ void BM_SummaryStats(benchmark::State& state) {
 BENCHMARK(BM_SummaryStats)->Arg(60)->Arg(600);
 
 }  // namespace
+
+/// The journal/cache key of one spec: the dataset planner and every
+/// server submit hash each scenario once.
+void BM_ScenarioKeyHash(benchmark::State& state) {
+  hpas::runner::ScenarioSpec spec;
+  spec.name = "e0123456789abcdef";
+  spec.app = "CoMD";
+  spec.anomaly = "membw";
+  spec.seed = 42;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(spec);
+    benchmark::DoNotOptimize(hpas::runner::scenario_key_hash(spec));
+  }
+}
+BENCHMARK(BM_ScenarioKeyHash);
 
 BENCHMARK_MAIN();

@@ -339,7 +339,7 @@ int run_search_replay(const hpas::ParsedArgs& args) {
   const auto spec = hpas::runner::spec_from_json(*spec_doc);
   const auto result =
       hpas::runner::run_scenario(spec, {.capture_trace = args.flag("trace")});
-  const hpas::Json row = hpas::search::summary_row_json(
+  const hpas::Json row = hpas::runner::summary_row_json(
       spec, result.app_elapsed_s,
       static_cast<std::uint64_t>(result.app_iterations));
 

@@ -51,7 +51,7 @@ hpas::CliParser make_parser() {
                          "simulated-cluster scenario runner with CSV export");
   parser
       .add({.long_name = "preset", .short_name = 'p', .value_name = "NAME",
-            .help = "cluster preset: voltrino, chameleon or dragonfly1k",
+            .help = "cluster preset: " + hpas::runner::system_names(),
             .default_value = "voltrino"})
       .add({.long_name = "app", .short_name = 'a', .value_name = "NAME",
             .help = "proxy application (empty = idle cluster)",

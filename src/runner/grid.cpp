@@ -2,33 +2,30 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <type_traits>
 
 #include "anomalies/suite.hpp"
 #include "apps/profiles.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "faultline/durable.hpp"
+#include "runner/runner.hpp"
 
 namespace hpas::runner {
 namespace {
 
-std::vector<std::string> string_axis(const Json& spec, const char* key,
-                                     std::vector<std::string> fallback) {
+template <typename T>
+std::vector<T> axis(const Json& spec, const char* key,
+                    std::vector<T> fallback) {
   const Json* axis = spec.find(key);
   if (axis == nullptr) return fallback;
-  std::vector<std::string> out;
-  for (const Json& v : axis->as_array()) out.push_back(v.as_string());
-  if (out.empty())
-    throw ConfigError(std::string("grid: '") + key + "' must be non-empty");
-  return out;
-}
-
-std::vector<double> number_axis(const Json& spec, const char* key,
-                                std::vector<double> fallback) {
-  const Json* axis = spec.find(key);
-  if (axis == nullptr) return fallback;
-  std::vector<double> out;
-  for (const Json& v : axis->as_array()) out.push_back(v.as_number());
+  std::vector<T> out;
+  for (const Json& v : axis->as_array()) {
+    if constexpr (std::is_same_v<T, std::string>)
+      out.push_back(v.as_string());
+    else
+      out.push_back(v.as_number());
+  }
   if (out.empty())
     throw ConfigError(std::string("grid: '") + key + "' must be non-empty");
   return out;
@@ -52,19 +49,21 @@ std::uint64_t derive_scenario_seed(std::uint64_t base, std::uint64_t index) {
   return SplitMix64(base ^ (index * 0x9e3779b97f4a7c15ULL)).next();
 }
 
+void read_spec_fields(const Json& doc, ScenarioSpec& spec) {
+  for_each_spec_field([&](const auto& row) {
+    auto& v = spec.*row.member;
+    using T = std::remove_cvref_t<decltype(v)>;
+    if constexpr (std::is_same_v<T, std::string>)
+      v = doc.string_or(row.name, v);
+    else if constexpr (std::is_same_v<T, bool>)
+      v = doc.bool_or(row.name, v);
+    else
+      v = static_cast<T>(doc.number_or(row.name, v));
+  });
+}
+
 void validate_spec(const ScenarioSpec& spec) {
-  if (spec.system != "voltrino" && spec.system != "chameleon" &&
-      spec.system != "dragonfly1k")
-    throw ConfigError("unknown system '" + spec.system +
-                      "' (expected voltrino, chameleon or dragonfly1k)");
-  if (!(spec.injector_fail_at_s >= 0.0))
-    throw ConfigError("injector_fail_at_s must be non-negative");
-  if (!(spec.duration_s > 0.0))
-    throw ConfigError("duration_s must be positive");
-  if (!(spec.sample_period_s > 0.0))
-    throw ConfigError("sample_period_s must be positive");
-  if (spec.app_nodes < 1 || spec.ranks_per_node < 1)
-    throw ConfigError("app_nodes and ranks_per_node must be >= 1");
+  system_preset(spec.system);                           // throws on unknown
   if (spec.app != "none") apps::app_by_name(spec.app);  // throws on unknown
   // "os_jitter" is the simulated-only ninth generator (paper Sec. 3.1's
   // low-utilization cpuoccupy variant); its gap sequence consumes the
@@ -72,8 +71,22 @@ void validate_spec(const ScenarioSpec& spec) {
   if (spec.anomaly != "none" && spec.anomaly != "os_jitter" &&
       !anomalies::is_known_anomaly(spec.anomaly))
     throw ConfigError("unknown anomaly '" + spec.anomaly + "'");
-  if (!(spec.intensity > 0.0))
-    throw ConfigError("intensity must be positive");
+  for_each_spec_field([&spec](const auto& row) {
+    using T = std::remove_cvref_t<decltype(spec.*row.member)>;
+    if constexpr (std::is_same_v<T, double> || std::is_same_v<T, int>) {
+      const double v = spec.*row.member;
+      if (row.above ? !(v > row.lo) : !(v >= row.lo))
+        throw ConfigError(std::string(row.name) +
+                          (row.above ? " must be > " : " must be >= ") +
+                          json_number_to_string(row.lo));
+    }
+  });
+  const double samples = spec.duration_s / spec.sample_period_s;
+  if (samples > kMaxSamplesPerSpec)
+    throw ConfigError("duration_s / sample_period_s = " +
+                      json_number_to_string(samples) + " exceeds the cap of " +
+                      json_number_to_string(kMaxSamplesPerSpec) +
+                      " samples per spec");
   const bool policy = spec.anomaly_node == -1 && spec.anomaly_core == -1;
   if (!policy && (spec.anomaly_node < 0 || spec.anomaly_core < 0))
     throw ConfigError(
@@ -88,24 +101,15 @@ SweepGrid expand_grid(const Json& spec) {
   grid.base_seed =
       static_cast<std::uint64_t>(spec.number_or("seed", 0x48504153));
 
+  // Scalar app/anomaly/intensity members are type-checked, then overridden.
   ScenarioSpec base;
-  base.system = spec.string_or("system", "voltrino");
-  base.duration_s = spec.number_or("duration_s", 60.0);
-  base.sample_period_s = spec.number_or("sample_period_s", 1.0);
-  base.app_nodes = static_cast<int>(spec.number_or("app_nodes", 2));
-  base.ranks_per_node = static_cast<int>(spec.number_or("ranks_per_node", 4));
-  base.run_to_completion = spec.bool_or("run_to_completion", false);
-  base.injector_fail_at_s = spec.number_or("injector_fail_at_s", 0.0);
-  base.injector_fail_tasks =
-      static_cast<int>(spec.number_or("injector_fail_tasks", -1));
+  read_spec_fields(spec, base);
 
   std::vector<std::string> app_axis;
   for (const auto& app : apps::proxy_apps()) app_axis.push_back(app.name);
-  app_axis = string_axis(spec, "apps", std::move(app_axis));
-  const std::vector<std::string> anomaly_axis =
-      string_axis(spec, "anomalies", {"none"});
-  const std::vector<double> intensity_axis =
-      number_axis(spec, "intensities", {1.0});
+  app_axis = axis(spec, "apps", std::move(app_axis));
+  const auto anomaly_axis = axis<std::string>(spec, "anomalies", {"none"});
+  const auto intensity_axis = axis<double>(spec, "intensities", {1.0});
   const int repeats = static_cast<int>(spec.number_or("repeats", 1));
   if (repeats < 1) throw ConfigError("grid: repeats must be >= 1");
 
@@ -148,18 +152,9 @@ SweepGrid load_grid_file(const std::string& path) {
 Json spec_to_json(const ScenarioSpec& spec) {
   Json doc = Json::object();
   doc.set("name", spec.name);
-  doc.set("system", spec.system);
-  doc.set("app", spec.app);
-  doc.set("anomaly", spec.anomaly);
-  doc.set("intensity", spec.intensity);
-  doc.set("duration_s", spec.duration_s);
-  doc.set("sample_period_s", spec.sample_period_s);
-  doc.set("app_nodes", static_cast<double>(spec.app_nodes));
-  doc.set("ranks_per_node", static_cast<double>(spec.ranks_per_node));
-  doc.set("run_to_completion", spec.run_to_completion);
-  doc.set("injector_fail_at_s", spec.injector_fail_at_s);
-  doc.set("injector_fail_tasks",
-          static_cast<double>(spec.injector_fail_tasks));
+  for_each_spec_field([&](const auto& row) {
+    doc.set(std::string(row.name), spec.*row.member);
+  });
   // 64-bit seeds do not round-trip through JSON doubles; keep exact.
   doc.set("seed", std::to_string(spec.seed));
   return doc;
@@ -170,23 +165,7 @@ ScenarioSpec spec_from_json(const Json& doc) {
     throw ConfigError("scenario spec must be a JSON object");
   ScenarioSpec spec;
   spec.name = doc.string_or("name", spec.name);
-  spec.system = doc.string_or("system", spec.system);
-  spec.app = doc.string_or("app", spec.app);
-  spec.anomaly = doc.string_or("anomaly", spec.anomaly);
-  spec.intensity = doc.number_or("intensity", spec.intensity);
-  spec.duration_s = doc.number_or("duration_s", spec.duration_s);
-  spec.sample_period_s =
-      doc.number_or("sample_period_s", spec.sample_period_s);
-  spec.app_nodes = static_cast<int>(
-      doc.number_or("app_nodes", static_cast<double>(spec.app_nodes)));
-  spec.ranks_per_node = static_cast<int>(doc.number_or(
-      "ranks_per_node", static_cast<double>(spec.ranks_per_node)));
-  spec.run_to_completion =
-      doc.bool_or("run_to_completion", spec.run_to_completion);
-  spec.injector_fail_at_s =
-      doc.number_or("injector_fail_at_s", spec.injector_fail_at_s);
-  spec.injector_fail_tasks = static_cast<int>(doc.number_or(
-      "injector_fail_tasks", static_cast<double>(spec.injector_fail_tasks)));
+  read_spec_fields(doc, spec);
   spec.seed = std::strtoull(doc.string_or("seed", "0").c_str(), nullptr, 10);
   validate_spec(spec);
   return spec;

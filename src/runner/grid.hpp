@@ -1,8 +1,9 @@
 // Declarative scenario grids for the experiment runner.
 //
 // A grid file (JSON) names axes -- applications, anomalies, intensities,
-// repeats -- plus shared scalars (system preset, duration, sampling
-// period, base seed). expand_grid() takes the cartesian product in a
+// repeats -- plus the grid's name, its base seed and any kSpecFields
+// scalar shared by every scenario (system preset, duration, sampling
+// period, ...). expand_grid() takes the cartesian product in a
 // fixed order (app x anomaly x intensity x repeat) and assigns every
 // scenario a counter-based RNG seed derived from (base_seed, index), so
 // scenario i's random stream is a pure function of the grid text: it does
@@ -26,6 +27,8 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "common/json.hpp"
@@ -35,9 +38,9 @@ namespace hpas::runner {
 /// One fully-resolved experiment: everything run_scenario() needs.
 struct ScenarioSpec {
   std::string name;                ///< unique, filesystem-safe
-  std::string system = "voltrino"; ///< "voltrino" | "chameleon"
+  std::string system = "voltrino"; ///< a system_preset() name (runner.hpp)
   std::string app = "none";        ///< proxy app name, or "none"
-  std::string anomaly = "none";    ///< one of the eight, or "none"
+  std::string anomaly = "none";    ///< one of the nine, or "none"
   double intensity = 1.0;
   double duration_s = 60.0;        ///< anomaly/monitoring window length
   double sample_period_s = 1.0;    ///< LDMS-like collection period
@@ -62,6 +65,51 @@ struct ScenarioSpec {
   int anomaly_core = -1;
 };
 
+/// One configured ScenarioSpec field: its JSON name, its member (whose
+/// type is the field's kind: std::string categorical, double continuous,
+/// int integer, bool flag) and, for numeric kinds, validate_spec()'s
+/// lower bound: values must exceed `lo` if `above`, else reach it.
+template <typename T>
+struct SpecField {
+  std::string_view name;
+  T ScenarioSpec::*member;
+  double lo = 0.0;
+  bool above = false;
+};
+
+/// The configured fields in scenario_key_hash (and spec_to_json) order.
+/// Every consumer handles the derived `name` before the rows and `seed`
+/// after them; the placement fields are neither keyed nor on the wire.
+inline constexpr std::tuple kSpecFields{
+    SpecField{"system", &ScenarioSpec::system},
+    SpecField{"app", &ScenarioSpec::app},
+    SpecField{"anomaly", &ScenarioSpec::anomaly},
+    SpecField{"intensity", &ScenarioSpec::intensity, 0.0, true},
+    SpecField{"duration_s", &ScenarioSpec::duration_s, 0.0, true},
+    SpecField{"sample_period_s", &ScenarioSpec::sample_period_s, 0.0, true},
+    SpecField{"app_nodes", &ScenarioSpec::app_nodes, 1.0},
+    SpecField{"ranks_per_node", &ScenarioSpec::ranks_per_node, 1.0},
+    SpecField{"run_to_completion", &ScenarioSpec::run_to_completion},
+    SpecField{"injector_fail_at_s", &ScenarioSpec::injector_fail_at_s, 0.0},
+    SpecField{"injector_fail_tasks", &ScenarioSpec::injector_fail_tasks, -1.0},
+};
+
+/// Calls f(row) for each kSpecFields row in order, unrolled at compile time.
+template <typename F>
+constexpr void for_each_spec_field(F&& f) {
+  std::apply([&f](const auto&... row) { (f(row), ...); }, kSpecFields);
+}
+
+/// validate_spec() rejects duration_s / sample_period_s above this
+/// (inclusive) cap; one monitored window of 1e6 samples peaks near 0.5 GB.
+/// Under run_to_completion the sample count is the app's elapsed time over
+/// the period, so the cap bounds only the window.
+inline constexpr double kMaxSamplesPerSpec = 1'000'000;
+
+/// Overwrites each kSpecFields field the object `doc` names; ConfigError
+/// when a member has the wrong type.
+void read_spec_fields(const Json& doc, ScenarioSpec& spec);
+
 struct SweepGrid {
   std::string name = "sweep";
   std::uint64_t base_seed = 0x48504153;  // "HPAS"
@@ -74,9 +122,9 @@ struct SweepGrid {
 std::uint64_t derive_scenario_seed(std::uint64_t base, std::uint64_t index);
 
 /// Throws ConfigError unless run_scenario() can execute `spec`: a known
-/// system, app and anomaly, positive durations and intensity, at least one
-/// app node and rank, a non-negative injector failure time, and placement
-/// fields that are both -1 or both >= 0.
+/// system, app and anomaly, every numeric field within its row's bound,
+/// at most kMaxSamplesPerSpec samples, and placement fields that are both
+/// -1 or both >= 0.
 void validate_spec(const ScenarioSpec& spec);
 
 /// Expands a grid document into the full scenario list. Validates every
@@ -90,12 +138,11 @@ SweepGrid expand_grid(const Json& spec);
 SweepGrid load_grid_file(const std::string& path);
 
 /// ScenarioSpec <-> JSON round-trip, shared by the search frontier files
-/// and the experiment server's wire protocol. Every field is explicit;
-/// the 64-bit seed travels as a decimal string because it does not
-/// round-trip through JSON doubles. spec_from_json() applies the struct's
-/// defaults for absent members and throws ConfigError when the document
-/// is not an object, a member has the wrong type, or the spec fails
-/// validate_spec().
+/// and the experiment server's wire protocol: `name`, every kSpecFields
+/// row, then the 64-bit `seed` as a decimal string (JSON doubles cannot
+/// hold it). spec_from_json() applies the struct's defaults for absent
+/// members and throws ConfigError when the document is not an object, a
+/// member has the wrong type, or the spec fails validate_spec().
 Json spec_to_json(const ScenarioSpec& spec);
 ScenarioSpec spec_from_json(const Json& doc);
 

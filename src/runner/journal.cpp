@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <cstring>
 #include <optional>
+#include <tuple>
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
@@ -100,6 +101,13 @@ bool decode_record(std::string_view payload, JournalRecord& out) {
   return true;
 }
 
+void mix_field(std::uint64_t& h, const std::string& v) { mix_string(h, v); }
+void mix_field(std::uint64_t& h, double v) { mix_double(h, v); }
+void mix_field(std::uint64_t& h, int v) {
+  mix(h, static_cast<std::uint64_t>(v));
+}
+void mix_field(std::uint64_t& h, bool v) { mix(h, v ? 1u : 0u); }
+
 }  // namespace
 
 const char* journal_status_name(JournalStatus status) {
@@ -115,17 +123,11 @@ const char* journal_status_name(JournalStatus status) {
 std::uint64_t scenario_key_hash(const ScenarioSpec& spec) {
   std::uint64_t h = 0x48504153'4a4e4c31ULL;  // "HPASJNL1"
   mix_string(h, spec.name);
-  mix_string(h, spec.system);
-  mix_string(h, spec.app);
-  mix_string(h, spec.anomaly);
-  mix_double(h, spec.intensity);
-  mix_double(h, spec.duration_s);
-  mix_double(h, spec.sample_period_s);
-  mix(h, static_cast<std::uint64_t>(spec.app_nodes));
-  mix(h, static_cast<std::uint64_t>(spec.ranks_per_node));
-  mix(h, spec.run_to_completion ? 1u : 0u);
-  mix_double(h, spec.injector_fail_at_s);
-  mix(h, static_cast<std::uint64_t>(spec.injector_fail_tasks));
+  // One fold over the table: every row's member is a constant here, so
+  // the loop unrolls into straight-line mixing.
+  std::apply(
+      [&](const auto&... row) { (mix_field(h, spec.*row.member), ...); },
+      kSpecFields);
   mix(h, spec.seed);
   return h;
 }

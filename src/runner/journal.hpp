@@ -59,11 +59,12 @@ struct JournalRecord {
 };
 
 /// Stable digest of every ScenarioSpec field that affects the scenario's
-/// output (including the derived seed). Resume matches journal records to
-/// grid entries by this hash, so editing the grid invalidates exactly the
-/// scenarios whose parameters changed -- renames included, because the
-/// name decides the output path. The explicit anomaly placement is left
-/// out: only hpas-sim sets it, and no journaled or wire spec carries it.
+/// output: the name, the kSpecFields rows in order, the derived seed.
+/// Resume matches journal records to grid entries by this hash, so editing
+/// the grid invalidates exactly the scenarios whose parameters changed --
+/// renames included, because the name decides the output path. The
+/// explicit anomaly placement is left out: only hpas-sim sets it, and no
+/// journaled or wire spec carries it.
 std::uint64_t scenario_key_hash(const ScenarioSpec& spec);
 
 /// Append-only journal writer. Every append() writes one frame with a

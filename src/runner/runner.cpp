@@ -1,6 +1,7 @@
 #include "runner/runner.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -140,6 +141,12 @@ JournalRecord make_journal_record(const ScenarioResult& s) {
   return rec;
 }
 
+constexpr std::array<SystemPreset, 3> kSystems{{
+    {"voltrino", [] { return sim::make_voltrino_world(); }},
+    {"chameleon", [] { return sim::make_chameleon_world(); }},
+    {"dragonfly1k", [] { return sim::make_dragonfly_world(); }},
+}};
+
 }  // namespace
 
 const char* scenario_status_name(ScenarioStatus status) {
@@ -153,15 +160,28 @@ const char* scenario_status_name(ScenarioStatus status) {
   return "unknown";
 }
 
+std::string system_names() {
+  std::string names;
+  for (const SystemPreset& p : kSystems)
+    names += (names.empty() ? "" : &p == &kSystems.back() ? " or " : ", ") +
+             std::string(p.name);
+  return names;
+}
+
+const SystemPreset& system_preset(std::string_view name) {
+  for (const SystemPreset& preset : kSystems)
+    if (preset.name == name) return preset;
+  throw ConfigError("unknown system '" + std::string(name) + "' (expected " +
+                    system_names() + ")");
+}
+
 ScenarioResult run_scenario(const ScenarioSpec& spec,
                             const RunOptions& options) {
   validate_spec(spec);
   ScenarioResult result;
   result.spec = spec;
 
-  auto world = spec.system == "chameleon"     ? sim::make_chameleon_world()
-               : spec.system == "dragonfly1k" ? sim::make_dragonfly_world()
-                                              : sim::make_voltrino_world();
+  auto world = system_preset(spec.system).make_world();
   const int num_nodes = world->num_nodes();
   if (spec.app_nodes > num_nodes)
     throw ConfigError("run_scenario: app_nodes exceeds the " + spec.system +
@@ -440,38 +460,41 @@ std::string SweepResult::first_error() const {
   return {};
 }
 
+Json summary_row_json(const ScenarioSpec& spec, double app_time_s,
+                      std::uint64_t app_iterations, const std::string& error,
+                      ScenarioStatus status, std::uint64_t trace_records) {
+  Json row = Json::object();
+  row.set("name", spec.name);
+  row.set("app", spec.app);
+  row.set("anomaly", spec.anomaly);
+  row.set("intensity", spec.intensity);
+  // 64-bit seeds do not round-trip through JSON doubles; keep exact.
+  row.set("seed", std::to_string(spec.seed));
+  if (spec.injector_fail_at_s > 0.0) {
+    row.set("injector_fail_at_s", spec.injector_fail_at_s);
+    row.set("injector_fail_tasks",
+            static_cast<double>(spec.injector_fail_tasks));
+  }
+  if (!error.empty()) row.set("error", error);
+  if (status != ScenarioStatus::kDone)
+    row.set("status", scenario_status_name(status));
+  row.set("app_time_s", app_time_s);
+  row.set("iterations", static_cast<double>(app_iterations));
+  if (trace_records != 0)
+    row.set("trace_records", static_cast<double>(trace_records));
+  return row;
+}
+
 Json SweepResult::summary_json() const {
   Json doc = Json::object();
   doc.set("grid", grid_name);
   doc.set("scenario_count", static_cast<double>(scenarios.size()));
 
   Json rows = Json::array();
-  for (const ScenarioResult& s : scenarios) {
-    Json row = Json::object();
-    row.set("name", s.spec.name);
-    row.set("app", s.spec.app);
-    row.set("anomaly", s.spec.anomaly);
-    row.set("intensity", s.spec.intensity);
-    // 64-bit seeds do not round-trip through JSON doubles; keep exact.
-    row.set("seed", std::to_string(s.spec.seed));
-    // Emitted only for degraded-injector scenarios so baseline summaries
-    // stay byte-identical to the pinned golden files.
-    if (s.spec.injector_fail_at_s > 0.0) {
-      row.set("injector_fail_at_s", s.spec.injector_fail_at_s);
-      row.set("injector_fail_tasks",
-              static_cast<double>(s.spec.injector_fail_tasks));
-    }
-    if (!s.error.empty()) row.set("error", s.error);
-    // Same byte-stability rule: only non-completed scenarios carry a
-    // status, so a clean sweep's summary is unchanged.
-    if (s.status != ScenarioStatus::kDone)
-      row.set("status", scenario_status_name(s.status));
-    row.set("app_time_s", s.app_elapsed_s);
-    row.set("iterations", static_cast<double>(s.app_iterations));
-    if (s.trace_records != 0)
-      row.set("trace_records", static_cast<double>(s.trace_records));
-    rows.push_back(std::move(row));
-  }
+  for (const ScenarioResult& s : scenarios)
+    rows.push_back(summary_row_json(
+        s.spec, s.app_elapsed_s, static_cast<std::uint64_t>(s.app_iterations),
+        s.error, s.status, s.trace_records));
   doc.set("scenarios", std::move(rows));
 
   // Aggregates in the spirit of a bench harness: median / p95 / %CV of

@@ -23,7 +23,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/cancel.hpp"
@@ -49,6 +51,25 @@ enum class ScenarioStatus : int {
 };
 
 const char* scenario_status_name(ScenarioStatus status);
+
+/// A simulated system a spec may name, with its world factory.
+struct SystemPreset {
+  std::string_view name;
+  std::unique_ptr<sim::World> (*make_world)();
+};
+/// The preset named `name`; ConfigError naming every choice otherwise.
+const SystemPreset& system_preset(std::string_view name);
+/// "voltrino, chameleon or dragonfly1k", for messages and help texts.
+std::string system_names();
+
+/// One summary.json scenario row, also what `hpas search` replays a
+/// frontier entry against. Optional members (injector failure, `error`,
+/// `status`, `trace_records`) appear only when set, not kDone or nonzero.
+Json summary_row_json(const ScenarioSpec& spec, double app_time_s,
+                      std::uint64_t app_iterations,
+                      const std::string& error = {},
+                      ScenarioStatus status = ScenarioStatus::kDone,
+                      std::uint64_t trace_records = 0);
 
 /// The execution contract every pool verb (sweep, search, dataset)
 /// shares: how many workers, and the two operator stop requests. The

@@ -198,33 +198,14 @@ Json entry_json(const ScenarioSpace& space, const FrontierEntry& e,
   entry.set("point", space.point_json(e.point));
   entry.set("spec", runner::spec_to_json(e.spec));
   entry.set("summary_row",
-            summary_row_json(e.spec, e.app_elapsed_s, e.app_iterations));
+            runner::summary_row_json(e.spec, e.app_elapsed_s,
+                                     e.app_iterations));
   entry.set("replay",
             "hpas search --replay " + replay_path + " " + replay_selector);
   return entry;
 }
 
 }  // namespace
-
-Json summary_row_json(const runner::ScenarioSpec& spec, double app_elapsed_s,
-                      std::uint64_t app_iterations) {
-  // Mirrors SweepResult::summary_json() rows for a completed, trace-free
-  // scenario -- member names, order and optional-key behavior included.
-  Json row = Json::object();
-  row.set("name", spec.name);
-  row.set("app", spec.app);
-  row.set("anomaly", spec.anomaly);
-  row.set("intensity", spec.intensity);
-  row.set("seed", std::to_string(spec.seed));
-  if (spec.injector_fail_at_s > 0.0) {
-    row.set("injector_fail_at_s", spec.injector_fail_at_s);
-    row.set("injector_fail_tasks",
-            static_cast<double>(spec.injector_fail_tasks));
-  }
-  row.set("app_time_s", app_elapsed_s);
-  row.set("iterations", static_cast<double>(app_iterations));
-  return row;
-}
 
 Json SearchResult::frontier_json(const ScenarioSpace& space,
                                  const std::string& replay_path) const {

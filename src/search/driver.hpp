@@ -93,12 +93,6 @@ struct SearchResult {
 /// failed point never enters the frontier yet still totally ordered.
 constexpr double kFailedObjective = -1e30;
 
-/// The sweep summary row this scenario would produce in a clean sweep
-/// (same members, same order as SweepResult::summary_json rows) -- the
-/// byte-level replay target.
-Json summary_row_json(const runner::ScenarioSpec& spec, double app_elapsed_s,
-                      std::uint64_t app_iterations);
-
 /// Runs the search. Throws ConfigError on invalid options and SystemError
 /// on journal I/O failure.
 SearchResult run_search(const ScenarioSpace& space,

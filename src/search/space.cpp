@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <type_traits>
 
-#include "anomalies/suite.hpp"
-#include "apps/profiles.hpp"
 #include "common/error.hpp"
 #include "common/hash.hpp"
 #include "dataset/factory.hpp"
@@ -14,54 +13,19 @@
 namespace hpas::search {
 namespace {
 
-/// The ScenarioSpec fields a dimension may bind, with the kinds each
-/// admits. Categorical fields are the string-valued ones; numeric fields
-/// split into inherently integral counts and continuous scalars.
-enum class FieldClass { kString, kContinuous, kInteger };
-
-struct FieldInfo {
-  const char* name;
-  FieldClass cls;
-  double domain_lo;  ///< numeric fields: smallest admissible value
-};
-
-constexpr FieldInfo kFields[] = {
-    {"app", FieldClass::kString, 0.0},
-    {"anomaly", FieldClass::kString, 0.0},
-    {"system", FieldClass::kString, 0.0},
-    {"intensity", FieldClass::kContinuous, 1e-6},
-    {"duration_s", FieldClass::kContinuous, 1e-6},
-    {"sample_period_s", FieldClass::kContinuous, 1e-6},
-    {"injector_fail_at_s", FieldClass::kContinuous, 0.0},
-    {"app_nodes", FieldClass::kInteger, 1.0},
-    {"ranks_per_node", FieldClass::kInteger, 1.0},
-    {"injector_fail_tasks", FieldClass::kInteger, -1.0},
-};
-
-const FieldInfo* field_info(const std::string& name) {
-  for (const FieldInfo& f : kFields)
-    if (name == f.name) return &f;
-  return nullptr;
-}
-
-void validate_category(const std::string& field, const std::string& value) {
-  if (field == "app") {
-    if (value != "none") apps::app_by_name(value);  // throws on unknown
-    return;
-  }
-  if (field == "anomaly") {
-    // "os_jitter" is the simulated-only ninth generator (see grid.cpp).
-    if (value != "none" && value != "os_jitter" &&
-        !anomalies::is_known_anomaly(value))
-      throw ConfigError("space: unknown anomaly '" + value + "'");
-    return;
-  }
-  if (field == "system") {
-    if (value != "voltrino" && value != "chameleon" && value != "dragonfly1k")
-      throw ConfigError("space: unknown system '" + value + "'");
-    return;
-  }
-  throw ConfigError("space: field '" + field + "' is not categorical");
+/// Sets the dimension's field of `spec` to coordinate `v` (the category
+/// index for a categorical dimension).
+void assign(runner::ScenarioSpec& spec, const Dimension& d, double v) {
+  std::visit(
+      [&](auto member) {
+        auto& field = spec.*member;
+        using T = std::remove_cvref_t<decltype(field)>;
+        if constexpr (std::is_same_v<T, std::string>)
+          field = d.values[static_cast<std::size_t>(v)];
+        else
+          field = static_cast<T>(v);
+      },
+      d.member);
 }
 
 double canonical_coord(const Dimension& d, double v) {
@@ -83,31 +47,8 @@ ScenarioSpace ScenarioSpace::from_json(const Json& spec) {
   space.base_seed_ =
       static_cast<std::uint64_t>(spec.number_or("seed", 0x48504153));
 
-  runner::ScenarioSpec& base = space.base_;
-  base.system = spec.string_or("system", "voltrino");
-  validate_category("system", base.system);
-  base.app = spec.string_or("app", "none");
-  if (base.app != "none") apps::app_by_name(base.app);
-  base.anomaly = spec.string_or("anomaly", "none");
-  validate_category("anomaly", base.anomaly);
-  base.intensity = spec.number_or("intensity", 1.0);
-  base.duration_s = spec.number_or("duration_s", 60.0);
-  base.sample_period_s = spec.number_or("sample_period_s", 1.0);
-  base.app_nodes = static_cast<int>(spec.number_or("app_nodes", 2));
-  base.ranks_per_node =
-      static_cast<int>(spec.number_or("ranks_per_node", 4));
-  base.run_to_completion = spec.bool_or("run_to_completion", false);
-  base.injector_fail_at_s = spec.number_or("injector_fail_at_s", 0.0);
-  base.injector_fail_tasks =
-      static_cast<int>(spec.number_or("injector_fail_tasks", -1));
-  if (base.duration_s <= 0.0 || base.sample_period_s <= 0.0)
-    throw ConfigError("space: duration_s and sample_period_s must be positive");
-  if (base.intensity <= 0.0)
-    throw ConfigError("space: intensity must be positive");
-  if (base.app_nodes < 1 || base.ranks_per_node < 1)
-    throw ConfigError("space: app_nodes and ranks_per_node must be >= 1");
-  if (base.injector_fail_at_s < 0.0)
-    throw ConfigError("space: injector_fail_at_s must be non-negative");
+  runner::read_spec_fields(spec, space.base_);
+  runner::validate_spec(space.base_);
 
   const Json* dims = spec.find("dimensions");
   if (dims == nullptr || !dims->is_array() || dims->as_array().empty())
@@ -121,9 +62,14 @@ ScenarioSpace ScenarioSpace::from_json(const Json& spec) {
     if (field == nullptr)
       throw ConfigError("space: dimension is missing 'name'");
     dim.field = field->as_string();
-    const FieldInfo* info = field_info(dim.field);
-    if (info == nullptr)
-      throw ConfigError("space: unknown dimension field '" + dim.field + "'");
+    runner::for_each_spec_field([&](const auto& row) {
+      using T = std::remove_cvref_t<decltype(space.base_.*row.member)>;
+      if constexpr (!std::is_same_v<T, bool>)
+        if (row.name == dim.field) dim.member = row.member;
+    });
+    if (std::visit([](auto member) { return member == nullptr; }, dim.member))
+      throw ConfigError("space: '" + dim.field +
+                        "' is not a ScenarioSpec field a dimension can bind");
     for (const Dimension& existing : space.dims_) {
       if (existing.field == dim.field)
         throw ConfigError("space: duplicate dimension '" + dim.field + "'");
@@ -142,25 +88,24 @@ ScenarioSpace ScenarioSpace::from_json(const Json& spec) {
                         "' (expected continuous, integer or categorical)");
     }
 
-    if (dim.kind == DimKind::kCategorical) {
-      if (info->cls != FieldClass::kString)
-        throw ConfigError("space: field '" + dim.field +
-                          "' is numeric; it cannot be categorical");
+    const bool categorical = dim.kind == DimKind::kCategorical;
+    if (categorical !=
+        std::holds_alternative<std::string runner::ScenarioSpec::*>(dim.member))
+      throw ConfigError(
+          "space: field '" + dim.field +
+          (categorical ? "' is numeric; it cannot be categorical"
+                       : "' is categorical; give it 'values', not bounds"));
+    if (categorical) {
       const Json* values = d.find("values");
       if (values == nullptr || !values->is_array() ||
           values->as_array().empty())
         throw ConfigError("space: categorical dimension '" + dim.field +
                           "' needs a non-empty 'values' array");
-      for (const Json& v : values->as_array()) {
-        validate_category(dim.field, v.as_string());
+      for (const Json& v : values->as_array())
         dim.values.push_back(v.as_string());
-      }
     } else {
-      if (info->cls == FieldClass::kString)
-        throw ConfigError("space: field '" + dim.field +
-                          "' is categorical; give it 'values', not bounds");
       if (dim.kind == DimKind::kContinuous &&
-          info->cls == FieldClass::kInteger)
+          std::holds_alternative<int runner::ScenarioSpec::*>(dim.member))
         throw ConfigError("space: field '" + dim.field +
                           "' is integral; use type 'integer'");
       const Json* lo = d.find("lo");
@@ -177,12 +122,24 @@ ScenarioSpace ScenarioSpace::from_json(const Json& spec) {
       if (!(dim.lo <= dim.hi))
         throw ConfigError("space: dimension '" + dim.field +
                           "' has inverted bounds");
-      if (dim.lo < info->domain_lo)
-        throw ConfigError("space: dimension '" + dim.field +
-                          "' lower bound is outside the field's domain");
+    }
+    // Each category, and a numeric lower bound (rows bound fields only
+    // from below), must make a valid spec.
+    for (std::size_t i = 0; i < (categorical ? dim.values.size() : 1); ++i) {
+      runner::ScenarioSpec probe = space.base_;
+      assign(probe, dim, categorical ? static_cast<double>(i) : dim.lo);
+      runner::validate_spec(probe);
     }
     space.dims_.push_back(std::move(dim));
   }
+  // No point may ask for more samples than the longest window over the
+  // shortest period, and run_scenario() must accept that many.
+  runner::ScenarioSpec most_samples = space.base_;
+  for (const Dimension& d : space.dims_) {
+    if (d.field == "duration_s") most_samples.duration_s = d.hi;
+    if (d.field == "sample_period_s") most_samples.sample_period_s = d.lo;
+  }
+  runner::validate_spec(most_samples);
   return space;
 }
 
@@ -325,25 +282,8 @@ runner::ScenarioSpec ScenarioSpace::materialize(const Point& p) const {
   if (!in_bounds(p))
     throw ConfigError("space: cannot materialize an out-of-bounds point");
   runner::ScenarioSpec spec = base_;
-  for (std::size_t i = 0; i < dims_.size(); ++i) {
-    const Dimension& d = dims_[i];
-    const double v = p.coords[i];
-    if (d.kind == DimKind::kCategorical) {
-      const std::string& value = d.values[static_cast<std::size_t>(v)];
-      if (d.field == "app") spec.app = value;
-      else if (d.field == "anomaly") spec.anomaly = value;
-      else spec.system = value;
-      continue;
-    }
-    if (d.field == "intensity") spec.intensity = v;
-    else if (d.field == "duration_s") spec.duration_s = v;
-    else if (d.field == "sample_period_s") spec.sample_period_s = v;
-    else if (d.field == "injector_fail_at_s") spec.injector_fail_at_s = v;
-    else if (d.field == "app_nodes") spec.app_nodes = static_cast<int>(v);
-    else if (d.field == "ranks_per_node")
-      spec.ranks_per_node = static_cast<int>(v);
-    else spec.injector_fail_tasks = static_cast<int>(v);
-  }
+  for (std::size_t i = 0; i < dims_.size(); ++i)
+    assign(spec, dims_[i], p.coords[i]);
   const std::uint64_t hash = point_hash(p);
   char buf[24];
   std::snprintf(buf, sizeof buf, "e%016llx",

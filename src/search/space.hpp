@@ -39,6 +39,7 @@
 
 #include <cstdint>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "common/json.hpp"
@@ -53,9 +54,17 @@ namespace hpas::search {
 
 enum class DimKind : int { kContinuous = 0, kInteger = 1, kCategorical = 2 };
 
+/// The ScenarioSpec member a dimension assigns (a kSpecFields row's). Its
+/// type decides the kinds it admits: a string member is categorical, an
+/// int member integer, a double member continuous or integer.
+using SpecMember = std::variant<std::string runner::ScenarioSpec::*,
+                                double runner::ScenarioSpec::*,
+                                int runner::ScenarioSpec::*>;
+
 /// One bounded dimension bound to a ScenarioSpec field by name.
 struct Dimension {
-  std::string field;  ///< "app", "anomaly", "intensity", "ranks_per_node", ...
+  std::string field;  ///< a kSpecFields name: "app", "intensity", ...
+  SpecMember member;  ///< that row's member
   DimKind kind = DimKind::kContinuous;
   double lo = 0.0;  ///< numeric kinds: inclusive bounds
   double hi = 0.0;
@@ -74,9 +83,10 @@ struct Point {
 class ScenarioSpace {
  public:
   /// Parses and validates a space document. Throws ConfigError on unknown
-  /// fields, kind/field mismatches (e.g. a continuous "app"), inverted or
-  /// out-of-domain bounds, unknown apps/anomalies/systems, or duplicate
-  /// dimensions.
+  /// or flag fields, kind/field mismatches (e.g. a continuous "app"),
+  /// inverted bounds, duplicate dimensions, or a base -- alone, with any
+  /// category or numeric lower bound, or at the longest window over the
+  /// shortest period -- that fails runner::validate_spec().
   static ScenarioSpace from_json(const Json& spec);
 
   /// Reads and parses a space file; SystemError when unreadable.

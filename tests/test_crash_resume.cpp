@@ -43,11 +43,16 @@ ScenarioSpec quick_scenario(const std::string& name, std::uint64_t seed) {
 }
 
 /// A scenario that generates simulator events effectively forever: the
-/// watchdog, not the grid, must end it.
+/// watchdog, not the grid, must end it. Shaped like
+/// examples/grids/hung_sweep.json: the app and the network anomaly keep
+/// the event queue busy for a 1e9 s window, while sampling every 1e6 s
+/// keeps the stored samples (1000) far under kMaxSamplesPerSpec.
 ScenarioSpec hung_scenario(const std::string& name, std::uint64_t seed) {
   ScenarioSpec spec = quick_scenario(name, seed);
+  spec.app = "CoMD";
+  spec.anomaly = "netoccupy";
   spec.duration_s = 1e9;
-  spec.sample_period_s = 0.001;  // a monitoring event every millisecond
+  spec.sample_period_s = 1e6;
   return spec;
 }
 

@@ -13,7 +13,13 @@
 // completes. Readiness is observed through inotify on the output
 // directory, so the signal lands mid-sweep without any fixed delay. A
 // grid whose scenarios never finish is cut by --scenario-timeout, each
-// scenario journaled as a timeout, and the sweep exits 5.
+// scenario journaled as a timeout, and the sweep exits 5. A grid above
+// the samples-per-spec cap is a config error (exit 2).
+//
+// Search: a seed-pinned search writes the same journal and (with its own
+// directory normalized away) the same frontier at -j 1 and -j 4, a
+// journal torn in half resumes to the same bytes, and frontier entries
+// 0 and 1 replay byte-for-byte.
 #include <gtest/gtest.h>
 
 #include <poll.h>
@@ -286,6 +292,96 @@ TEST_F(HpasCliSweep, ScenarioTimeoutCutsAHungGrid) {
   EXPECT_NE(summary.find("\"status\": \"timeout\""), std::string::npos)
       << summary;
   EXPECT_TRUE(fs::is_regular_file(out / "sweep.journal"));
+}
+
+TEST_F(HpasCliSweep, OverCapGridIsAConfigError) {
+  // The former hung_sweep.json: a 1e9 s window sampled every millisecond
+  // asks for 1e12 samples, above the samples-per-spec cap.
+  const fs::path grid = base_ / "old_hung_sweep.json";
+  std::ofstream(grid) << R"({"name": "hung_sweep", "apps": ["CoMD"],
+    "anomalies": ["netoccupy"], "repeats": 2, "duration_s": 1000000000,
+    "sample_period_s": 0.001})";
+  const Outcome run = run_hpas("sweep '" + grid.string() + "' -o '" +
+                               (base_ / "out").string() + "'");
+  EXPECT_EQ(run.status, 2) << run.output;
+  EXPECT_NE(run.output.find("exceeds the cap"), std::string::npos)
+      << run.output;
+  EXPECT_FALSE(fs::exists(base_ / "out" / "summary.json"));
+}
+
+/// Guided search on the fig08 subspace with a small seed-pinned budget.
+class HpasCliSearch : public HpasCliSweep {
+ protected:
+  Outcome search(const fs::path& out, int threads,
+                 const std::string& extra = "") {
+    return run_hpas(std::string("search '") + HPAS_SPACE +
+                    "' --budget 16 -b 4 --seed 42 -j " +
+                    std::to_string(threads) + " -o '" + out.string() + "'" +
+                    extra);
+  }
+};
+
+std::string file_bytes(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+/// frontier.json with its own directory (embedded in the replay command
+/// lines) replaced by "OUT".
+std::string normalized_frontier(const fs::path& dir) {
+  std::string text = file_bytes(dir / "frontier.json");
+  const std::string prefix = dir.string() + "/";
+  for (std::size_t at = text.find(prefix); at != std::string::npos;
+       at = text.find(prefix, at))
+    text.replace(at, prefix.size(), "OUT/");
+  return text;
+}
+
+TEST_F(HpasCliSearch, JournalAndFrontierAreThreadCountInvariant) {
+  const fs::path a = base_ / "search-a";
+  const fs::path b = base_ / "search-b";
+  const Outcome serial = search(a, 1);
+  ASSERT_EQ(serial.status, 0) << serial.output;
+  const Outcome parallel = search(b, 4);
+  ASSERT_EQ(parallel.status, 0) << parallel.output;
+  const std::string journal = file_bytes(a / "search.journal");
+  EXPECT_FALSE(journal.empty());
+  EXPECT_EQ(file_bytes(b / "search.journal"), journal);
+  EXPECT_NE(normalized_frontier(a).find("OUT/frontier.json"),
+            std::string::npos);
+  EXPECT_EQ(normalized_frontier(b), normalized_frontier(a));
+}
+
+TEST_F(HpasCliSearch, TornJournalResumeConvergesToTheSameBytes) {
+  const fs::path a = base_ / "search-a";
+  const fs::path cut = base_ / "search-cut";
+  const Outcome full = search(a, 1);
+  ASSERT_EQ(full.status, 0) << full.output;
+  const std::string journal = file_bytes(a / "search.journal");
+  fs::create_directories(cut);
+  std::ofstream(cut / "search.journal", std::ios::binary)
+      << journal.substr(0, journal.size() / 2);
+  const Outcome resumed = search(cut, 4, " --resume");
+  ASSERT_EQ(resumed.status, 0) << resumed.output;
+  EXPECT_EQ(file_bytes(cut / "search.journal"), journal);
+  EXPECT_EQ(normalized_frontier(cut), normalized_frontier(a));
+}
+
+TEST_F(HpasCliSearch, FrontierReplayReproducesTheSummaryRow) {
+  const fs::path a = base_ / "search-a";
+  const Outcome full = search(a, 4);
+  ASSERT_EQ(full.status, 0) << full.output;
+  for (const char* index : {"0", "1"}) {
+    const Outcome replay = run_hpas("search --replay '" +
+                                    (a / "frontier.json").string() +
+                                    "' --index " + index);
+    EXPECT_EQ(replay.status, 0) << "--index " << index << ": "
+                                 << replay.output;
+    EXPECT_NE(replay.output.find("reproduced byte-for-byte"),
+              std::string::npos)
+        << replay.output;
+  }
 }
 
 }  // namespace

@@ -37,7 +37,7 @@ using hpas::search::ScenarioSpace;
 using hpas::search::SchedulerWorstCaseObjective;
 using hpas::search::SearchOptions;
 using hpas::search::SearchResult;
-using hpas::search::summary_row_json;
+using hpas::runner::summary_row_json;
 
 // A cheap space for the byte-level tests: short windows, one app, three
 // anomalies -- each evaluation is a few milliseconds of simulation.
